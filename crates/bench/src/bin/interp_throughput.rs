@@ -1,20 +1,20 @@
-//! Host-side interpreter throughput: guest-MIPS across the five execution
+//! Host-side interpreter throughput: guest-MIPS across the four execution
 //! modes — the reference interpreter (the `--oracle` shadow semantics),
-//! the single-step baseline (`--exec-mode single`), the TLB fast path
-//! with superblocks disabled, the superblock machine (`--exec-mode
-//! superblock`), and the template tier on top (`--exec-mode template`,
-//! the default everywhere else). The ref row prices the oracle:
-//! `ref_overhead` is fast MIPS over reference MIPS, an upper bound on the
-//! slowdown of `--oracle replay`.
+//! the single-step baseline with the TLB off (`--exec-mode single`), the
+//! TLB step loop with templates held off (`--exec-mode superblock`), and
+//! the template tier on top (`--exec-mode template`, the default
+//! everywhere else). The ref row prices the oracle: `ref_overhead` is
+//! template MIPS over reference MIPS, an upper bound on the slowdown of
+//! `--oracle replay`.
 //!
 //! Unlike every other binary here, this one measures *host* wall time, so
 //! its numbers vary run to run and machine to machine. Guest-visible
 //! metrics must NOT vary: the binary re-measures each program in every
 //! mode and exits non-zero if any counter differs, making every
-//! invocation a determinism check for the TLB/epoch fast path, the
-//! superblock execution core and the template tier. `--weaken-flush`
-//! deliberately drops one template exit flush so CI can prove that check
-//! has teeth (the run must exit non-zero).
+//! invocation a determinism check for the TLB/epoch fast path and the
+//! template tier. `--weaken-flush` deliberately drops one template exit
+//! flush so CI can prove that check has teeth (the run must exit
+//! non-zero).
 //!
 //! Writes `BENCH_interp.json` (see EXPERIMENTS.md).
 
@@ -28,7 +28,6 @@ use cheriabi::spec::{ProgramSpec, Registry};
 use cheriabi::{Metrics, System};
 
 const USAGE: &str = "usage: interp_throughput [options]
-  --no-fast-path    measure only the slow-path baseline
   --weaken-flush    test-only: drop one template exit flush; the metric
                     cross-check must then fail (exit non-zero)
   --trials <n>      wall-time trials per mode (default 3, best-of)
@@ -37,7 +36,6 @@ const USAGE: &str = "usage: interp_throughput [options]
   -h, --help        this help";
 
 struct Opts {
-    fast_too: bool,
     weaken_flush: bool,
     trials: u32,
     spin_iters: i64,
@@ -46,7 +44,6 @@ struct Opts {
 
 fn parse_args() -> Result<Opts, String> {
     let mut opts = Opts {
-        fast_too: true,
         weaken_flush: false,
         trials: 3,
         spin_iters: 2_000_000,
@@ -55,7 +52,6 @@ fn parse_args() -> Result<Opts, String> {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--no-fast-path" => opts.fast_too = false,
             "--weaken-flush" => opts.weaken_flush = true,
             "--trials" => {
                 opts.trials = args
@@ -85,67 +81,45 @@ fn parse_args() -> Result<Opts, String> {
     Ok(opts)
 }
 
-/// An interpreter execution mode: the fetch/translate fast path and,
-/// on top of it, the superblock execution core.
-#[derive(Clone, Copy)]
-struct Mode {
-    fast: bool,
-    superblocks: bool,
-    templates: bool,
-    reference: bool,
+/// An interpreter execution mode, in table order.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// The reference interpreter: pure per-step semantics, no TLB, no
+    /// decoded regions — the machine the differential oracle shadows with.
+    Ref,
+    /// Single-step baseline: the fast machine with the TLB off
+    /// (`--exec-mode single`).
+    Base,
+    /// The TLB step loop with templates held off (`--exec-mode
+    /// superblock`).
+    Fast,
+    /// Templates promoted from the TLB step loop (`--exec-mode template`,
+    /// the default everywhere else).
+    Tmpl,
 }
 
 impl Mode {
-    /// The reference interpreter: pure per-step semantics, no TLB, no
-    /// decoded regions — the machine the differential oracle shadows with.
-    const REF: Mode = Mode {
-        fast: false,
-        superblocks: false,
-        templates: false,
-        reference: true,
-    };
-    /// Single-step baseline (fast machine, fast path off).
-    const BASE: Mode = Mode {
-        fast: false,
-        superblocks: false,
-        templates: false,
-        reference: false,
-    };
-    /// TLB/epoch fast path only (PR 3's fast mode).
-    const TLB: Mode = Mode {
-        fast: true,
-        superblocks: false,
-        templates: false,
-        reference: false,
-    };
-    /// The superblock machine with the template tier held off
-    /// (`--exec-mode superblock`).
-    const FULL: Mode = Mode {
-        fast: true,
-        superblocks: true,
-        templates: false,
-        reference: false,
-    };
-    /// The template tier on top of the superblock machine
-    /// (`--exec-mode template`, the default everywhere else).
-    const TMPL: Mode = Mode {
-        fast: true,
-        superblocks: true,
-        templates: true,
-        reference: false,
-    };
+    const ALL: [Mode; 4] = [Mode::Ref, Mode::Base, Mode::Fast, Mode::Tmpl];
+
+    fn label(self) -> &'static str {
+        match self {
+            Mode::Ref => "ref",
+            Mode::Base => "base",
+            Mode::Fast => "fast",
+            Mode::Tmpl => "tmpl",
+        }
+    }
 }
 
 /// One timed execution. Returns guest metrics and host wall seconds.
 fn run_once(registry: &Registry, spec: &ProgramSpec, mode: Mode, weaken: bool) -> (Metrics, f64) {
     let program = registry.lower(spec, CodegenOpts::purecap(), 0);
     let mut sys = System::with_config(KernelConfig::default());
-    sys.kernel.cpu.set_fast_path(mode.fast);
-    sys.kernel.cpu.set_superblocks(mode.superblocks);
-    sys.kernel.cpu.set_templates(mode.templates);
-    sys.kernel.cpu.set_reference(mode.reference);
-    if weaken && mode.templates {
-        sys.kernel.cpu.set_weaken_flush(true);
+    match mode {
+        Mode::Ref => sys.kernel.cpu.set_reference(true),
+        Mode::Base => sys.kernel.cpu.set_fast_path(false),
+        Mode::Fast => sys.kernel.cpu.set_templates(false),
+        Mode::Tmpl => sys.kernel.cpu.set_weaken_flush(weaken),
     }
     let opts = SpawnOpts::new(AbiMode::CheriAbi);
     let start = Instant::now();
@@ -211,116 +185,77 @@ fn main() {
     let mut spin_tmpl_speedup: Option<f64> = None;
     let mut mismatch = false;
     println!(
-        "{:<28} {:>12} {:>11} {:>11} {:>11} {:>11} {:>11} {:>8} {:>9}",
+        "{:<28} {:>12} {:>11} {:>11} {:>11} {:>11} {:>8} {:>9}",
         "program",
         "guest instrs",
         "ref MIPS",
         "base MIPS",
-        "tlb MIPS",
-        "sb MIPS",
+        "fast MIPS",
         "tmpl MIPS",
         "speedup",
         "tmpl gain"
     );
     for (name, spec) in &programs {
-        let (base_metrics, base_wall) = run_mode(&registry, spec, Mode::BASE, opts.trials, false);
-        let base_mips = mips(base_metrics.instructions, base_wall);
-        let (ref_metrics, ref_wall) = run_mode(&registry, spec, Mode::REF, opts.trials, false);
-        if ref_metrics != base_metrics {
-            eprintln!(
-                "interp_throughput: {name}: guest metrics diverge between the \
-                 reference interpreter and baseline: {ref_metrics:?} vs {base_metrics:?}"
-            );
-            mismatch = true;
+        // (wall seconds, MIPS) per mode, in `Mode::ALL` order.
+        let mut rows = Vec::new();
+        let mut ref_metrics = None;
+        for mode in Mode::ALL {
+            let weaken = opts.weaken_flush && mode == Mode::Tmpl;
+            let (metrics, wall) = run_mode(&registry, spec, mode, opts.trials, weaken);
+            // Every mode is checked against the first (the reference).
+            let reference = ref_metrics.get_or_insert(metrics);
+            if metrics != *reference {
+                eprintln!(
+                    "interp_throughput: {name}: guest metrics diverge between \
+                     {} and ref: {metrics:?} vs {reference:?}",
+                    mode.label()
+                );
+                mismatch = true;
+            }
+            rows.push((wall, mips(metrics.instructions, wall)));
         }
-        let ref_mips = mips(ref_metrics.instructions, ref_wall);
-        let (tlb_stats, fast_stats, tmpl_stats, speedup, sb_speedup, tmpl_speedup) = if opts
-            .fast_too
-        {
-            let (tlb_metrics, tlb_wall) = run_mode(&registry, spec, Mode::TLB, opts.trials, false);
-            let (fast_metrics, fast_wall) =
-                run_mode(&registry, spec, Mode::FULL, opts.trials, false);
-            let (tmpl_metrics, tmpl_wall) =
-                run_mode(&registry, spec, Mode::TMPL, opts.trials, opts.weaken_flush);
-            for (mode, m) in [
-                ("tlb fast path", &tlb_metrics),
-                ("superblock", &fast_metrics),
-                ("template", &tmpl_metrics),
-            ] {
-                if m != &base_metrics {
-                    eprintln!(
-                        "interp_throughput: {name}: guest metrics diverge between \
-                         {mode} and baseline: {m:?} vs {base_metrics:?}"
-                    );
-                    mismatch = true;
-                }
-            }
-            let tlb_mips = mips(tlb_metrics.instructions, tlb_wall);
-            let fast_mips = mips(fast_metrics.instructions, fast_wall);
-            let tmpl_mips = mips(tmpl_metrics.instructions, tmpl_wall);
-            let speedup = tmpl_mips / base_mips;
-            let sb = fast_mips / tlb_mips;
-            let tmpl = tmpl_mips / fast_mips;
-            if name == "spin" {
-                spin_speedup = Some(speedup);
-                spin_tmpl_speedup = Some(tmpl);
-            }
-            (
-                Some((tlb_wall, tlb_mips)),
-                Some((fast_wall, fast_mips)),
-                Some((tmpl_wall, tmpl_mips)),
-                Some(speedup),
-                Some(sb),
-                Some(tmpl),
-            )
-        } else {
-            (None, None, None, None, None, None)
+        let metrics = ref_metrics.expect("at least one mode");
+        let [(_, ref_mips), (_, base_mips), (_, fast_mips), (_, tmpl_mips)] = rows[..] else {
+            unreachable!("one row per mode")
         };
-        let (tlb_wall_j, tlb_mips_j) = match tlb_stats {
-            Some((w, m)) => (json_f64(w * 1e3), json_f64(m)),
-            None => ("null".to_string(), "null".to_string()),
-        };
-        let (fast_wall_j, fast_mips_j, speedup_j) = match (fast_stats, speedup) {
-            (Some((w, m)), Some(s)) => (json_f64(w * 1e3), json_f64(m), json_f64(s)),
-            _ => ("null".to_string(), "null".to_string(), "null".to_string()),
-        };
-        let (tmpl_wall_j, tmpl_mips_j) = match tmpl_stats {
-            Some((w, m)) => (json_f64(w * 1e3), json_f64(m)),
-            None => ("null".to_string(), "null".to_string()),
-        };
-        let ref_overhead = tmpl_stats.map(|(_, tmpl_mips)| tmpl_mips / ref_mips);
+        let speedup = tmpl_mips / base_mips;
+        let tmpl_speedup = tmpl_mips / fast_mips;
+        if name == "spin" {
+            spin_speedup = Some(speedup);
+            spin_tmpl_speedup = Some(tmpl_speedup);
+        }
         println!(
-            "{:<28} {:>12} {:>11.2} {:>11.2} {:>11} {:>11} {:>11} {:>8} {:>9}",
+            "{:<28} {:>12} {:>11.2} {:>11.2} {:>11.2} {:>11.2} {:>7.2}x {:>8.2}x",
             name,
-            base_metrics.instructions,
+            metrics.instructions,
             ref_mips,
             base_mips,
-            tlb_stats.map_or("-".to_string(), |(_, m)| format!("{m:.2}")),
-            fast_stats.map_or("-".to_string(), |(_, m)| format!("{m:.2}")),
-            tmpl_stats.map_or("-".to_string(), |(_, m)| format!("{m:.2}")),
-            speedup.map_or("-".to_string(), |s| format!("{s:.2}x")),
-            tmpl_speedup.map_or("-".to_string(), |s| format!("{s:.2}x")),
+            fast_mips,
+            tmpl_mips,
+            speedup,
+            tmpl_speedup,
         );
-        lines.push(format!(
-            "{{\"program\":\"{}\",\"instructions\":{},\"cycles\":{},\"wall_ms_ref\":{},\"mips_ref\":{},\"wall_ms_base\":{},\"mips_base\":{},\"wall_ms_tlb\":{},\"mips_tlb\":{},\"wall_ms_fast\":{},\"mips_fast\":{},\"wall_ms_tmpl\":{},\"mips_tmpl\":{},\"speedup\":{},\"sb_speedup\":{},\"tmpl_speedup\":{},\"ref_overhead\":{}}}",
+        let mut line = format!(
+            "{{\"program\":\"{}\",\"instructions\":{},\"cycles\":{}",
             cheri_bench::cli::json_escape(name),
-            base_metrics.instructions,
-            base_metrics.cycles,
-            json_f64(ref_wall * 1e3),
-            json_f64(ref_mips),
-            json_f64(base_wall * 1e3),
-            json_f64(base_mips),
-            tlb_wall_j,
-            tlb_mips_j,
-            fast_wall_j,
-            fast_mips_j,
-            tmpl_wall_j,
-            tmpl_mips_j,
-            speedup_j,
-            sb_speedup.map_or("null".to_string(), json_f64),
-            tmpl_speedup.map_or("null".to_string(), json_f64),
-            ref_overhead.map_or("null".to_string(), json_f64),
+            metrics.instructions,
+            metrics.cycles,
+        );
+        for (mode, (wall, mode_mips)) in Mode::ALL.into_iter().zip(&rows) {
+            let label = mode.label();
+            line.push_str(&format!(
+                ",\"wall_ms_{label}\":{},\"mips_{label}\":{}",
+                json_f64(wall * 1e3),
+                json_f64(*mode_mips)
+            ));
+        }
+        line.push_str(&format!(
+            ",\"speedup\":{},\"tmpl_speedup\":{},\"ref_overhead\":{}}}",
+            json_f64(speedup),
+            json_f64(tmpl_speedup),
+            json_f64(tmpl_mips / ref_mips)
         ));
+        lines.push(line);
     }
     let doc = format!(
         "{{\"bench\":\"interp_throughput\",\"trials\":{},\"spin_speedup\":{},\"spin_tmpl_speedup\":{},\"results\":[{}]}}\n",

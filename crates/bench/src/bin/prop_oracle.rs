@@ -19,7 +19,7 @@
 //! optionally unseals again — exercising otype match/mismatch on both
 //! machines. `CapJump` derives a code capability from PCC (`cgetpcc` +
 //! `csetaddr`) and transfers through `cjalr`/`cjr` to the start of a later
-//! unit, forcing the fast path's decoded-region re-entry to agree with the
+//! unit, forcing the fast path's resident-region fetch to agree with the
 //! reference about mid-region entry points. Case 0 is always the
 //! deterministic *widen probe* — narrow to 16 bytes, then ask for 64 — so
 //! `--weaken-sem` (which disarms the fast path's bounds clamp) is

@@ -54,9 +54,6 @@ pub struct BenchOpts {
     pub retries: u64,
     /// Execution tier for every case (`--exec-mode
     /// single|superblock|template`, default template — the full stack).
-    /// `--no-fast-path` is a legacy alias for `--exec-mode single`, the
-    /// guest-metric equivalence gate; mixing the alias with the explicit
-    /// flag is rejected at parse time.
     pub exec_mode: ExecMode,
     /// Test-only: drop one compiled template's exit register flush
     /// (`--weaken-flush`) so the cross-tier gates can prove a residency
@@ -121,11 +118,6 @@ impl Default for BenchOpts {
 /// name). Returns an error message on anything unrecognised.
 pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<BenchOpts, String> {
     let mut opts = BenchOpts::default();
-    // `--exec-mode` and the legacy `--fast-path`/`--no-fast-path` aliases
-    // must not mix: silently letting one win would make the command line
-    // order-sensitive in a way nobody can audit.
-    let mut exec_mode_flag = false;
-    let mut legacy_fast_path_flag = false;
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -156,19 +148,10 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<BenchOpts, S
                 opts.cache_limit = Some(limit);
             }
             "--dump-specs" => opts.dump_specs = true,
-            "--no-fast-path" => {
-                legacy_fast_path_flag = true;
-                opts.exec_mode = ExecMode::SingleStep;
-            }
-            "--fast-path" => {
-                legacy_fast_path_flag = true;
-                opts.exec_mode = ExecMode::Template;
-            }
             "--exec-mode" => {
                 let value = iter
                     .next()
                     .ok_or("--exec-mode needs a tier (single|superblock|template)")?;
-                exec_mode_flag = true;
                 opts.exec_mode = ExecMode::from_label(&value).map_err(|e| {
                     format!("--exec-mode: {e} (want single, superblock or template)")
                 })?;
@@ -232,18 +215,8 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<BenchOpts, S
             other => return Err(format!("unknown argument: {other}\n{USAGE}")),
         }
     }
-    if exec_mode_flag && legacy_fast_path_flag {
-        return Err(
-            "--exec-mode cannot combine with --fast-path/--no-fast-path (the legacy \
-             aliases name the same knob; pick one spelling)"
-                .to_string(),
-        );
-    }
     if opts.weaken_flush && opts.exec_mode != ExecMode::Template {
-        return Err(
-            "--weaken-flush requires the template tier (drop --exec-mode/--no-fast-path)"
-                .to_string(),
-        );
+        return Err("--weaken-flush requires the template tier (drop --exec-mode)".to_string());
     }
     if opts.fleet.is_some() {
         // A session flag the fleet cannot honour is an error, not a silent
@@ -299,12 +272,11 @@ pub const USAGE: &str = "options:\n  \
     (pipe into `run_specs --specs -` to replay them)\n  \
     --retries N    re-run panicked / deadline-exceeded cases up to N times\n                 \
     (deterministic backoff; cache keys and entries are unaffected)\n  \
-    --exec-mode T  execution tier for every case: `single` (the reference\n                 \
-    interpreter), `superblock` (decoded regions, no templates)\n                 \
-    or `template` (the full stack, the default). Guest metrics\n                 \
-    are byte-identical by contract; only host speed changes\n  \
-    --no-fast-path legacy alias for --exec-mode single (and --fast-path for\n                 \
-    --exec-mode template); cannot mix with --exec-mode\n  \
+    --exec-mode T  execution tier for every case: `single` (the fast\n                 \
+    machine with its TLB off), `superblock` (the TLB step loop,\n                 \
+    no templates) or `template` (the full stack, the default).\n                 \
+    Guest metrics are byte-identical by contract; only host\n                 \
+    speed changes\n  \
     --weaken-flush test-only: drop one compiled template's exit register\n                 \
     flush so the cross-tier gates can prove a residency bug is\n                 \
     detected (template tier only; never cached)\n  \
@@ -733,7 +705,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_exec_mode_and_legacy_aliases() {
+    fn parses_exec_mode() {
         assert_eq!(
             parse_args(args(&[])).expect("parses").exec_mode,
             ExecMode::Template
@@ -752,23 +724,9 @@ mod tests {
         }
         assert!(parse_args(args(&["--exec-mode"])).is_err());
         assert!(parse_args(args(&["--exec-mode", "warp"])).is_err());
-        // The legacy aliases still map onto the tiers; last toggle wins.
-        assert_eq!(
-            parse_args(args(&["--no-fast-path"]))
-                .expect("parses")
-                .exec_mode,
-            ExecMode::SingleStep
-        );
-        assert_eq!(
-            parse_args(args(&["--no-fast-path", "--fast-path"]))
-                .expect("parses")
-                .exec_mode,
-            ExecMode::Template
-        );
-        // ... but mixing the alias with the explicit flag is ambiguous and
-        // rejected regardless of order.
-        assert!(parse_args(args(&["--exec-mode", "template", "--no-fast-path"])).is_err());
-        assert!(parse_args(args(&["--no-fast-path", "--exec-mode", "single"])).is_err());
+        // The retired legacy aliases are unknown flags now.
+        assert!(parse_args(args(&["--no-fast-path"])).is_err());
+        assert!(parse_args(args(&["--fast-path"])).is_err());
     }
 
     #[test]
@@ -779,7 +737,7 @@ mod tests {
         assert_eq!(opts.exec_mode, ExecMode::Template);
         // The weakened flush lives in the template tier; asking for it on
         // another tier is a contradiction, not a no-op.
-        assert!(parse_args(args(&["--weaken-flush", "--no-fast-path"])).is_err());
+        assert!(parse_args(args(&["--weaken-flush", "--exec-mode", "single"])).is_err());
         assert!(parse_args(args(&["--exec-mode", "superblock", "--weaken-flush"])).is_err());
         // It forwards through --fleet like any spec rewrite.
         let fleet = parse_args(args(&["--fleet", "2", "--weaken-flush"])).expect("parses");

@@ -14,8 +14,8 @@
 //! L2 override — plus a caller-supplied *salt* (the codegen fingerprint
 //! from `cheri_isa::codegen::fingerprint`, so any change to instruction
 //! selection invalidates every entry wholesale). The spec's display name,
-//! wall-clock deadline, execution tier (`exec_mode`, plus the legacy
-//! `fast_path` key), oracle mode (`oracle`) and lockstep cadence
+//! wall-clock deadline, execution tier (`exec_mode`), oracle mode
+//! (`oracle`) and lockstep cadence
 //! (`oracle_every`) are *not* part of the identity: none of them changes
 //! what the guest computes — the execution tiers and the oracle are gated
 //! to produce byte-identical guest metrics. The membrane mode (`abi_mode`) *is* identity: a hardened run
@@ -208,13 +208,7 @@ impl ReportCache {
             fields.extend(all.into_iter().filter(|(k, _)| {
                 !matches!(
                     k.as_str(),
-                    "name"
-                        | "deadline_nanos"
-                        | "trace"
-                        | "fast_path"
-                        | "exec_mode"
-                        | "oracle"
-                        | "oracle_every"
+                    "name" | "deadline_nanos" | "trace" | "exec_mode" | "oracle" | "oracle_every"
                 )
             }));
         }
@@ -509,9 +503,17 @@ mod tests {
                 "{mode:?} is not identity"
             );
         }
+        // A spec decoded from the legacy `"fast_path"` key serves the
+        // same entry.
+        let legacy = spec
+            .to_json()
+            .to_string()
+            .replace("\"trace\":false", "\"trace\":false,\"fast_path\":false");
+        let legacy = RunSpec::from_json(&json::parse(&legacy).expect("parses")).expect("decodes");
+        assert_eq!(legacy.exec_mode, crate::harness::ExecMode::SingleStep);
         assert!(
-            cache.load(&spec.clone().with_fast_path(false)).is_some(),
-            "the legacy fast_path alias is not identity"
+            cache.load(&legacy).is_some(),
+            "the legacy fast_path key is not identity"
         );
 
         // Name and deadline are display/scheduling concerns, not identity.

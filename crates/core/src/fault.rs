@@ -127,10 +127,10 @@ impl FaultPlan {
     /// Arms this plan on a freshly booted kernel (call before the guest
     /// spawns so access counts start from zero).
     pub fn arm(&self, kernel: &mut Kernel) {
-        // A fault can fire mid-superblock, so the core must charge every
-        // cache event at its exact program point rather than batching to
-        // block boundaries — otherwise the cycle count at the moment the
-        // fault lands would depend on the execution mode.
+        // A fault can fire at any instruction, so the core must charge
+        // every fetch at its exact program point rather than coalescing a
+        // template's fetches into one charge — otherwise the cycle count at
+        // the moment the fault lands would depend on the execution mode.
         kernel.cpu.set_exact_mem_events(true);
         match self.kind {
             FaultKind::BitFlipData { after_writes, bit } => {

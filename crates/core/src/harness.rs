@@ -116,7 +116,7 @@ pub struct RunSpec {
     /// is byte-identical to before the membrane existed.
     pub abi_mode: MembraneMode,
     /// Lockstep sampling cadence: check the architectural diff at every
-    /// Nth superblock boundary instead of every one, making lockstep cheap
+    /// Nth dispatched instruction instead of every one, making lockstep cheap
     /// enough to arm across a full table. `1` (the default, encodes to
     /// nothing) is full lockstep; the value is a sampling knob only and by
     /// contract never changes guest results, so it is excluded from the
@@ -134,16 +134,21 @@ pub struct RunSpec {
 
 /// Which execution tier the guest runs on. All three produce
 /// byte-identical guest-visible results by contract — the tiers trade
-/// host speed only, and the equivalence gates hold them to it.
+/// host speed only, and the equivalence gates hold them to it. (The
+/// reference interpreter is not a tier: it runs only as the second leg
+/// of [`OracleMode::Replay`].)
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ExecMode {
-    /// The single-step reference interpreter: one decode/dispatch per
-    /// instruction, the equivalence-gate baseline.
+    /// The fast machine with its TLB off (label `single`): every fetch,
+    /// load and store takes the full `Vm::translate` walk and region
+    /// scan, one instruction at a time — the equivalence-gate baseline.
     SingleStep,
-    /// The superblock machine: decoded regions executed a block at a
-    /// time, per-instruction closures, per-access cache events.
+    /// The TLB step loop with templates held off (label `superblock`,
+    /// kept because spec files, CI gates and the benchmark use it): one
+    /// instruction at a time through the TLB and the resident code
+    /// region.
     Superblock,
-    /// The full tier stack (the default): superblocks, plus hot re-entry
+    /// The full stack (the default): the TLB step loop, plus hot entry
     /// points compiled to register-allocated trace templates with
     /// line-coalesced fetch events.
     #[default]
@@ -199,7 +204,7 @@ pub enum OracleMode {
     /// architectural state; the first mismatch becomes
     /// [`CaseOutcome::Divergence`].
     Lockstep,
-    /// Run the case twice — superblock fast path, then the single-step
+    /// Run the case twice — on the spec's execution tier, then on the
     /// reference interpreter — and diff the guest-visible results
     /// (outcome, console, metrics, scenario stats). A clean replay
     /// returns the fast run's report byte-identically.
@@ -318,17 +323,6 @@ impl RunSpec {
     pub fn with_exec_mode(mut self, mode: ExecMode) -> RunSpec {
         self.exec_mode = mode;
         self
-    }
-
-    /// Legacy alias for [`RunSpec::with_exec_mode`]: `true` selects the
-    /// full tier stack, `false` the single-step reference interpreter.
-    #[must_use]
-    pub fn with_fast_path(self, fast_path: bool) -> RunSpec {
-        self.with_exec_mode(if fast_path {
-            ExecMode::Template
-        } else {
-            ExecMode::SingleStep
-        })
     }
 
     /// Test-only: drops one template exit flush so the cross-tier gates
@@ -821,8 +815,8 @@ impl fmt::Display for CaseOutcome {
 }
 
 /// Host-side interpreter counters: how the simulator ran the case, never
-/// what the guest observed. TLB and superblock hit rates vary with the
-/// execution mode (they collapse to zero under `--no-fast-path`), so they
+/// what the guest observed. TLB and resident-region hit rates vary with
+/// the execution mode (they collapse to zero under `--exec-mode single`), so they
 /// are excluded from guest-metric equivalence, from the deterministic
 /// shard/golden line format, and from the report cache's identity. The
 /// scheduler counters (wakes/blocks/runq depth/context switches) ride in
@@ -834,9 +828,9 @@ pub struct HostCounters {
     pub tlb_hits: u64,
     /// Translations that took the full VM walk.
     pub tlb_misses: u64,
-    /// Fetches/block entries served by the resident decoded region.
+    /// Fetches served by the resident decoded region.
     pub sb_hits: u64,
-    /// Fetches/block entries that re-scanned the region map.
+    /// Fetches that re-scanned the region map.
     pub sb_misses: u64,
     /// Blocked processes woken by the scheduler.
     pub wakes: u64,
@@ -1022,7 +1016,7 @@ pub struct CaseReport {
     pub quarantined: bool,
     /// What the armed fault plane did, when [`RunSpec::fault`] was set.
     pub faults: Option<FaultCounters>,
-    /// Host-side interpreter counters (TLB/superblock hit rates). Absent
+    /// Host-side interpreter counters (TLB/resident-region hit rates). Absent
     /// when the case never ran or every counter is zero; always excluded
     /// from the deterministic line format and the report-cache identity.
     pub host: Option<HostCounters>,
@@ -1185,7 +1179,7 @@ fn execute_inner(registry: &Registry, spec: &RunSpec) -> CaseReport {
     execute_once(registry, spec, false)
 }
 
-/// Runs the spec twice — fast path, then the single-step reference
+/// Runs the spec twice — on its execution tier, then on the reference
 /// interpreter — and diffs the guest-visible results. A clean replay
 /// returns the fast run's report verbatim (byte-identical to an
 /// oracle-free run); a mismatch becomes [`CaseOutcome::Divergence`].
@@ -1229,7 +1223,7 @@ fn execute_replay(registry: &Registry, spec: &RunSpec) -> CaseReport {
 }
 
 /// Builds and runs one spec in a fresh system on the current thread.
-/// `reference` forces the single-step reference interpreter regardless of
+/// `reference` forces the reference interpreter regardless of
 /// [`RunSpec::exec_mode`] — the replay oracle's second leg.
 fn execute_once(registry: &Registry, spec: &RunSpec, reference: bool) -> CaseReport {
     let start = Instant::now();
@@ -1258,8 +1252,8 @@ fn execute_once(registry: &Registry, spec: &RunSpec, reference: bool) -> CaseRep
             ExecMode::Template => {
                 sys.kernel.cpu.set_fast_path(true);
                 // An armed fault plan mutates memory behind the guest's
-                // back mid-run; templates assume the re-entry guard stays
-                // valid for a whole trace, so demote to superblocks.
+                // back mid-run; templates assume the entry guard stays
+                // valid for a whole trace, so hold them off.
                 sys.kernel.cpu.set_templates(spec.fault.is_none());
             }
         }
@@ -1984,15 +1978,6 @@ mod tests {
             let back = RunSpec::from_json(&json::parse(&text).expect("parses")).expect("decodes");
             assert_eq!(back.exec_mode, mode, "{legacy}");
         }
-        // And the builder alias maps onto the tiers.
-        assert_eq!(
-            plain.clone().with_fast_path(false).exec_mode,
-            ExecMode::SingleStep
-        );
-        assert_eq!(
-            plain.clone().with_fast_path(true).exec_mode,
-            ExecMode::Template
-        );
         // weaken_flush encodes only when set, and round-trips.
         let weakened = plain.with_weaken_flush(true);
         let text = weakened.to_json().to_string();

@@ -212,9 +212,10 @@ impl System {
         opts: &SpawnOpts,
         clients: u64,
     ) -> Result<ScenarioRun, cheri_rtld::LoadError> {
-        // Mid-run `Sys::Cycles` stamps must agree between the superblock
-        // fast path and the single-step interpreter, so make batched
-        // cache-event charging exact (same requirement as the fault plane).
+        // Mid-run `Sys::Cycles` stamps must agree between the template
+        // tier and the single-step baseline, so hold templates off and
+        // charge every fetch as it happens (same requirement as the fault
+        // plane).
         self.kernel.cpu.set_exact_mem_events(true);
         let c0 = self.kernel.cpu.stats;
         let m0 = self.kernel.cpu.caches.stats();

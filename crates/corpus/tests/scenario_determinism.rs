@@ -1,11 +1,11 @@
 //! Scenario-plane determinism: latency percentiles (and everything else in
 //! the deterministic line format) must be byte-identical across worker
-//! counts and across the superblock fast path vs. the single-step
-//! interpreter.
+//! counts, across the default tier vs. the single-step baseline, and
+//! across repeated runs in one process.
 
 use cheri_corpus::suite::{opts_for, registry};
 use cheri_kernel::{AbiMode, KernelConfig};
-use cheriabi::harness::{execute_spec, CaseOutcome, Harness, RunSpec};
+use cheriabi::harness::{execute_spec, CaseOutcome, ExecMode, Harness, RunSpec};
 use cheriabi::spec::ProgramSpec;
 use cheriabi::ExitStatus;
 
@@ -65,16 +65,57 @@ fn scenario_percentiles_agree_between_execution_modes() {
     let registry = registry();
     for spec in scenario_specs() {
         let fast = execute_spec(&registry, &spec);
-        let slow = execute_spec(&registry, &spec.clone().with_fast_path(false));
+        let slow = execute_spec(
+            &registry,
+            &spec.clone().with_exec_mode(ExecMode::SingleStep),
+        );
         assert_eq!(
             fast.to_json_deterministic(0).to_string(),
             slow.to_json_deterministic(0).to_string(),
-            "{}: fast path vs single step",
+            "{}: template tier vs single step",
             spec.name
         );
         let stats = fast.scenario.expect("stats");
         assert_eq!(stats.completed, stats.requests, "{}", spec.name);
         assert!(stats.p50 > 0 && stats.p50 <= stats.p95 && stats.p95 <= stats.p99);
+    }
+}
+
+#[test]
+fn scenario_with_exiting_clients_is_deterministic_across_runs() {
+    // The benchmark's server cell: 8 clients x 30 mixed queries over
+    // tight pipes. Clients exit while others still run, so every frame a
+    // torn-down address space releases is reused by a later allocation;
+    // the release order must not depend on hash-map iteration, or the
+    // modelled cache sets — and with them cycles, L2 misses and the
+    // latency percentiles — drift from run to run.
+    let registry = registry();
+    let spec = RunSpec::new(
+        "scenario-exit-order".to_string(),
+        ProgramSpec::Scenario {
+            clients: 8,
+            queries: 30,
+            mix: "mixed".to_string(),
+            swap_pressure: false,
+        },
+        opts_for(AbiMode::CheriAbi),
+        AbiMode::CheriAbi,
+    )
+    // A seed whose client exit order reuses released frames.
+    .with_seed(780_236)
+    .with_config(KernelConfig {
+        pipe_capacity: 6,
+        ..KernelConfig::default()
+    });
+    let lines: Vec<String> = (0..5)
+        .map(|_| {
+            let report = execute_spec(&registry, &spec);
+            assert_eq!(report.outcome, CaseOutcome::Exited(ExitStatus::Code(0)));
+            report.to_json_deterministic(0).to_string()
+        })
+        .collect();
+    for line in &lines[1..] {
+        assert_eq!(*line, lines[0], "repeated runs must agree byte for byte");
     }
 }
 

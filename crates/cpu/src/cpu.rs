@@ -7,7 +7,7 @@ use crate::template::{self, TOp, TTerm, Template, TmplState};
 use crate::{DerivationTrace, RegFile};
 use cheri_cap::{CapFault, Capability, Perms};
 use cheri_isa::Instr;
-use cheri_mem::{AccessKind, CacheHierarchy, MemEventRing, MemEventSink, FRAME_SIZE};
+use cheri_mem::{AccessKind, CacheHierarchy, FRAME_SIZE};
 use cheri_sem::{SemExit, StepCtx};
 use cheri_vm::{Access, AsId, Vm, VmError};
 use std::collections::HashMap;
@@ -55,10 +55,9 @@ pub enum TrapCause {
 /// host-side fast-path efficacy counters.
 ///
 /// Equality compares **guest-visible** fields only (`instret`, `cycles`,
-/// `syscalls`): the TLB and superblock counters describe how the simulator
-/// got there, differ legitimately between the superblock and
-/// `--no-fast-path` modes, and must never participate in the
-/// metric-equivalence gates.
+/// `syscalls`): the TLB, resident-region and template counters describe
+/// how the simulator got there, differ legitimately between execution
+/// modes, and must never participate in the metric-equivalence gates.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CpuStats {
     /// Instructions retired.
@@ -71,11 +70,11 @@ pub struct CpuStats {
     pub tlb_hits: u64,
     /// Host-side: translations that took the full VM walk.
     pub tlb_misses: u64,
-    /// Host-side: fetches/block entries served by the resident region.
+    /// Host-side: fetches served by the resident code region.
     pub sb_hits: u64,
-    /// Host-side: fetches/block entries that re-scanned the region map.
+    /// Host-side: fetches that re-scanned the region map.
     pub sb_misses: u64,
-    /// Host-side: superblocks promoted to a compiled trace template.
+    /// Host-side: hot entry points promoted to a compiled trace template.
     pub tmpl_compiles: u64,
     /// Host-side: template executions (each may run many loop
     /// iterations).
@@ -108,42 +107,44 @@ struct TlbEntry {
     base: u64,
 }
 
-/// Superblock re-entry cache geometry: direct-mapped on the block-entry
-/// pc. Must be a power of two. A loop body usually spans a handful of
-/// blocks (its header plus one per conditional), so a small table already
-/// captures the re-entry pattern a single slot would thrash on.
-const SB_SLOTS: usize = 32;
+/// Hot-entry table geometry: direct-mapped on the entry pc. Must be a
+/// power of two. Only loop heads, call targets, return points and
+/// template exits compete for it, so a small table captures the hot set
+/// of a loop nest; on the Figure 4 programs, 64 slots retire as many
+/// instructions in templates as any larger table, and 32 lose about 4%
+/// of them to slot conflicts.
+const HOT_SLOTS: usize = 64;
 
-/// Cached block-entry state for re-entering the same superblock: a hot
-/// loop re-executes its body blocks millions of times, and without this
-/// the per-entry PCC check, translation and clamp arithmetic dominate
-/// tiny blocks. Valid only while the VM translation epoch and the exact
-/// PCC still match — the same monotone-epoch argument that makes the TLB
-/// sound — and dropped wholesale whenever the region map or execution
-/// context changes.
-#[derive(Clone)]
-struct SbEntry {
-    /// Virtual address the block was entered at.
+/// A possible template entry point: a pc control reached by a taken
+/// control transfer or by leaving a template. Valid only while the VM
+/// translation epoch and the exact PCC still match — the same
+/// monotone-epoch argument that makes the TLB sound — and dropped
+/// wholesale whenever the region map or execution context changes.
+struct HotEntry {
+    /// Virtual address of the entry point.
     pc: u64,
     /// Its translation under `epoch`.
     pa: u64,
-    /// Instruction index of `pc` within `region`.
-    idx: usize,
-    /// Budget-independent run length: already clamped to the block end,
-    /// the page boundary and the PCC top (but *not* `max(1)`-floored —
-    /// the executor applies the budget clamp and the floor itself).
-    n: usize,
-    /// The exact PCC the entry checks passed under.
+    /// The exact PCC the entry's fetch check passed under.
     pcc: Capability,
-    /// VM translation epoch the entry was computed under.
+    /// VM translation epoch the entry was recorded under.
     epoch: u64,
-    /// The region containing `pc`.
-    region: Arc<DecodedRegion>,
     /// Template-tier promotion state. Lives inside the entry, so every
     /// demotion path is free: a guard miss (epoch bump from COW, swap,
     /// mprotect or fork; PCC change; slot reuse) rebuilds the entry and
     /// the state resets to cold with it.
     tmpl: TmplState,
+}
+
+/// What a hot-entry lookup found at a possible template entry.
+enum Entry {
+    /// A compiled template ran; `rf.pc` is where it left off.
+    Ran,
+    /// The guard held but no template ran: step normally.
+    Hit,
+    /// The guard failed: step normally, recording a fresh entry in this
+    /// slot at the fetch.
+    Miss(usize),
 }
 
 /// The simulated core: caches, counters, registered code regions, and a
@@ -168,27 +169,20 @@ pub struct Cpu {
     /// The code region the last fetch hit: straight-line fetch and branch
     /// target resolution stay inside it without touching the region map.
     cur_code: Option<Arc<DecodedRegion>>,
-    /// Re-entry cache for recently entered superblocks, direct-mapped on
-    /// the entry pc ([`SB_SLOTS`] slots): loops re-enter the same blocks
-    /// at the same PCC under the same epoch, so the entry checks and
-    /// clamps need computing once, not per iteration.
-    sb_entries: Vec<Option<SbEntry>>,
+    /// Possible template entry points, direct-mapped on the entry pc
+    /// ([`HOT_SLOTS`] slots): loops re-enter the same heads at the same
+    /// PCC under the same epoch, so the guard is checked per entry and
+    /// the template compiled once.
+    hot: Vec<Option<HotEntry>>,
     /// When false, every fetch/load/store takes the full `vm.translate`
-    /// and region-scan path — the measurement baseline for
-    /// `interp_throughput --no-fast-path`. Guest-visible state and all
-    /// counters are identical either way.
+    /// and region-scan path — the `--exec-mode single` baseline.
+    /// Guest-visible state and all guest counters are identical either
+    /// way.
     fast_path: bool,
-    /// When false, the superblock loop is skipped even with the fast path
-    /// on: the TLB-only ablation point.
-    superblocks: bool,
-    /// When false, hot superblocks are never promoted to trace
+    /// When false, hot entry points are never promoted to trace
     /// templates: the `--exec-mode superblock` ablation point. Only
-    /// meaningful with the fast path and superblocks on.
+    /// meaningful with the fast path on.
     templates: bool,
-    /// Effective template activation for the current `run`: requires
-    /// batched superblock mode and no armed lockstep oracle (the shadow
-    /// needs per-instruction boundaries templates fold away).
-    tmpl_active: bool,
     /// Test-only residency weakening (`--weaken-flush`): the first
     /// template execution skips its exit write-set flush, silently
     /// dropping every register the trace computed. One-shot, so the
@@ -197,28 +191,22 @@ pub struct Cpu {
     weaken_flush: bool,
     /// Whether the one-shot weakened flush already fired.
     flush_weakened: bool,
-    /// Forces every memory event straight into the cache model (no ring
-    /// batching) and single-step execution. Armed fault plans set this so
-    /// ordering-sensitive triggers always observe an up-to-date model.
+    /// Forces per-instruction execution (templates held off). Armed
+    /// fault plans set this so ordering-sensitive triggers observe every
+    /// fetch as its own cache event.
     exact_events: bool,
     /// Test-only semantic weakening (`--weaken-sem`): when set,
     /// `csetbounds` (register form) skips its monotonicity check. Exists
     /// solely so the oracle self-test can prove divergences are detected.
     weaken_sem: bool,
     /// When set, `run` takes the reference interpreter instead of the
-    /// superblock machine: per-step fetch through the full VM walk, exact
-    /// cache accounting, direct semantics dispatch — no TLB, no resident
-    /// region, no re-entry cache, no event batching. Guest-visible
-    /// behaviour is identical by construction; only speed differs.
+    /// fast machine: per-step fetch through the full VM walk, direct
+    /// semantics dispatch — no TLB, no resident region, no hot-entry
+    /// table, no templates. Guest-visible behaviour is identical by
+    /// construction; only speed differs.
     reference: bool,
     /// Armed lockstep oracle, if any (see [`crate::oracle`]).
     lockstep: Option<LockstepState>,
-    /// Effective mode for the current `run`: batch events and execute by
-    /// superblock. Recomputed at every `run` entry from the three flags
-    /// and `trace.enabled`.
-    batch: bool,
-    /// Pending memory events awaiting a batched drain.
-    events: MemEventRing,
 }
 
 /// Converts a semantics-level exit into the machine-level [`Exit`].
@@ -256,19 +244,15 @@ impl Cpu {
             ],
             seen_epoch: 0,
             cur_code: None,
-            sb_entries: vec![None; SB_SLOTS],
+            hot: (0..HOT_SLOTS).map(|_| None).collect(),
             fast_path: true,
-            superblocks: true,
             templates: true,
-            tmpl_active: false,
             weaken_flush: false,
             flush_weakened: false,
             exact_events: false,
             weaken_sem: false,
             reference: false,
             lockstep: None,
-            batch: false,
-            events: MemEventRing::new(),
         }
     }
 
@@ -287,29 +271,14 @@ impl Cpu {
         self.fast_path
     }
 
-    /// Enables or disables superblock execution (the TLB-only ablation
+    /// Enables or disables the template tier (promotion of hot entry
+    /// points to compiled trace templates — the TLB-step-loop ablation
     /// point when disabled). Guest-visible behaviour is identical in both
-    /// modes.
-    pub fn set_superblocks(&mut self, on: bool) {
-        self.superblocks = on;
-        self.cur_code = None;
-        self.reset_sb_entries();
-    }
-
-    /// Whether superblock execution is enabled.
-    #[must_use]
-    pub fn superblocks(&self) -> bool {
-        self.superblocks
-    }
-
-    /// Enables or disables the template tier (promotion of hot
-    /// superblocks to compiled trace templates — the superblock-only
-    /// ablation point when disabled). Guest-visible behaviour is
-    /// identical in both modes. Disabling discards every compiled
-    /// template by dropping the re-entry cache.
+    /// modes. Disabling discards every compiled template by dropping the
+    /// hot-entry table.
     pub fn set_templates(&mut self, on: bool) {
         self.templates = on;
-        self.reset_sb_entries();
+        self.reset_hot();
     }
 
     /// Whether template promotion is enabled.
@@ -336,14 +305,15 @@ impl Cpu {
         self.weaken_flush
     }
 
-    /// Forces exact memory-event replay (no ring batching) and single-step
-    /// execution. Fault-plan arming sets this so ordering-sensitive
-    /// trigger points always observe an up-to-date cache model.
+    /// Forces per-instruction execution: templates, which charge a whole
+    /// trace's fetches at once, are held off. Fault-plan arming sets this
+    /// so ordering-sensitive trigger points observe every fetch as its
+    /// own cache event.
     pub fn set_exact_mem_events(&mut self, on: bool) {
         self.exact_events = on;
     }
 
-    /// Whether exact memory-event replay is forced.
+    /// Whether per-instruction execution is forced.
     #[must_use]
     pub fn exact_mem_events(&self) -> bool {
         self.exact_events
@@ -405,27 +375,27 @@ impl Cpu {
     }
 
     /// Invalidates every TLB slot, the resident code block and the
-    /// superblock re-entry cache.
+    /// hot-entry table.
     fn reset_tlb(&mut self) {
         for e in &mut self.tlb {
             e.vpn = TLB_INVALID_VPN;
         }
         self.cur_code = None;
-        self.reset_sb_entries();
+        self.reset_hot();
     }
 
-    /// Invalidates the superblock re-entry cache.
-    fn reset_sb_entries(&mut self) {
-        for e in &mut self.sb_entries {
+    /// Invalidates the hot-entry table.
+    fn reset_hot(&mut self) {
+        for e in &mut self.hot {
             *e = None;
         }
     }
 
-    /// Re-entry cache slot for a block-entry pc (instructions are 4-byte
-    /// aligned, so the index uses `pc >> 2`).
+    /// Hot-entry slot for an entry pc (instructions are 4-byte aligned,
+    /// so the index uses `pc >> 2`).
     #[inline]
-    fn sb_slot(pc: u64) -> usize {
-        (pc >> 2) as usize & (SB_SLOTS - 1)
+    fn hot_slot(pc: u64) -> usize {
+        (pc >> 2) as usize & (HOT_SLOTS - 1)
     }
 
     /// Registers a pre-decoded, immutable code region (done by the loader
@@ -434,7 +404,7 @@ impl Cpu {
     pub fn register_region(&mut self, id: AsId, region: Arc<DecodedRegion>) {
         self.code.entry(id).or_default().push(region);
         self.cur_code = None;
-        self.reset_sb_entries();
+        self.reset_hot();
     }
 
     /// Decodes and registers a code region in one step. Convenience
@@ -448,7 +418,7 @@ impl Cpu {
     pub fn clear_code(&mut self, id: AsId) {
         self.code.remove(&id);
         self.cur_code = None;
-        self.reset_sb_entries();
+        self.reset_hot();
     }
 
     /// Copies the code map of `from` to `to` (fork: the child shares the
@@ -459,7 +429,7 @@ impl Cpu {
             let shared = regions.clone();
             self.code.insert(to, shared);
             self.cur_code = None;
-            self.reset_sb_entries();
+            self.reset_hot();
         }
     }
 
@@ -544,34 +514,11 @@ impl Cpu {
         Ok(pa.0)
     }
 
-    // ------------------------------------------------------------------
-    // Memory-event sink
-    // ------------------------------------------------------------------
-
-    /// Records one physical memory access in program order. In batched
-    /// mode the event joins the pending ring (drained at superblock
-    /// boundaries, or here when full); otherwise it is replayed into the
-    /// cache model immediately — the exact-mode reference semantics.
+    /// Charges one physical memory access to the cache model, in
+    /// program order, and its stall cycles to the core.
     #[inline]
     pub(crate) fn mem_access(&mut self, pa: u64, kind: AccessKind) {
-        if self.batch {
-            if self.events.is_full() {
-                self.stats.cycles += self.caches.drain(&mut self.events);
-            }
-            self.events.record(pa, kind);
-        } else {
-            self.stats.cycles += self.caches.access(pa, kind);
-        }
-    }
-
-    /// Replays every pending event into the cache model and charges the
-    /// resulting stall cycles. Called at every `run` exit, so syscalls,
-    /// traps and instruction-limit returns always observe model state and
-    /// cycle counts identical to exact mode.
-    fn drain_events(&mut self) {
-        if !self.events.is_empty() {
-            self.stats.cycles += self.caches.drain(&mut self.events);
-        }
+        self.stats.cycles += self.caches.access(pa, kind);
     }
 
     // ------------------------------------------------------------------
@@ -587,11 +534,16 @@ impl Cpu {
             .map(Arc::clone)
     }
 
+    /// Fetches the instruction at `rf.pc`: PCC check, translation, the
+    /// fetch's cache event, then the decoded instruction and its region's
+    /// start. With `record`, a successful fetch also records `rf.pc` as a
+    /// fresh hot entry in that slot.
     fn fetch(
         &mut self,
         vm: &mut Vm,
         id: AsId,
         rf: &RegFile,
+        record: Option<usize>,
     ) -> Result<(DecodedInstr, u64), TrapInfo> {
         let pc = rf.pc;
         rf.pcc
@@ -605,26 +557,37 @@ impl Cpu {
         self.mem_access(pa, AccessKind::Fetch);
         // Straight-line execution stays inside one region: serve it from
         // the resident block without touching the region map.
-        if self.fast_path {
-            if let Some(r) = &self.cur_code {
-                if r.contains(pc) {
-                    self.stats.sb_hits += 1;
-                    return Ok((r.instr_at(r.index_of(pc)), r.start()));
-                }
+        let fetched = match &self.cur_code {
+            Some(r) if self.fast_path && r.contains(pc) => {
+                self.stats.sb_hits += 1;
+                (r.instr_at(r.index_of(pc)), r.start())
             }
+            _ => {
+                self.stats.sb_misses += 1;
+                let region = self.find_region(id, pc).ok_or(TrapInfo {
+                    cause: TrapCause::NoCode,
+                    pc,
+                    vaddr: Some(pc),
+                })?;
+                let fetched = (region.instr_at(region.index_of(pc)), region.start());
+                if self.fast_path {
+                    self.cur_code = Some(region);
+                }
+                fetched
+            }
+        };
+        if let Some(slot) = record {
+            // The epoch is read *after* the translation, which may itself
+            // have bumped it (COW resolution, swap-in).
+            self.hot[slot] = Some(HotEntry {
+                pc,
+                pa,
+                pcc: rf.pcc,
+                epoch: vm.epoch(),
+                tmpl: TmplState::default(),
+            });
         }
-        self.stats.sb_misses += 1;
-        let region = self.find_region(id, pc).ok_or(TrapInfo {
-            cause: TrapCause::NoCode,
-            pc,
-            vaddr: Some(pc),
-        })?;
-        let di = region.instr_at(region.index_of(pc));
-        let rstart = region.start();
-        if self.fast_path {
-            self.cur_code = Some(region);
-        }
-        Ok((di, rstart))
+        Ok(fetched)
     }
 
     // ------------------------------------------------------------------
@@ -634,37 +597,75 @@ impl Cpu {
     /// Runs until a syscall, break, trap, or `max_instrs` retired
     /// instructions.
     ///
-    /// Execution mode is chosen here: superblock batching when the fast
-    /// path and superblocks are enabled and neither tracing nor exact
-    /// event replay demands per-instruction fidelity; the single-step
-    /// path otherwise. Pending memory events are always drained before
-    /// returning, so the caller observes cycle counts, cache statistics
-    /// and model state identical to exact mode at every exit — syscall,
-    /// trap, break or instruction limit.
+    /// The fast machine steps one instruction at a time through the TLB
+    /// and the resident code region. With templates active — the fast
+    /// path and templates on, and no observer (derivation tracing, exact
+    /// per-fetch events, the lockstep oracle) needing per-instruction
+    /// boundaries — every pc reached by a taken control transfer or by
+    /// leaving a template is a possible template entry, looked up in the
+    /// hot-entry table before it is stepped. Every cache event is charged
+    /// as it happens, so each exit observes exact cycle counts and cache
+    /// state.
     pub fn run(&mut self, vm: &mut Vm, id: AsId, rf: &mut RegFile, max_instrs: u64) -> Exit {
         self.set_context(id);
         if self.reference {
             return self.run_reference(vm, id, rf, max_instrs);
         }
-        self.batch =
-            self.fast_path && self.superblocks && !self.trace.enabled && !self.exact_events;
-        // Templates additionally require no armed lockstep oracle: the
-        // shadow re-executes at per-instruction boundaries, which the
-        // template deliberately folds away.
-        self.tmpl_active = self.batch && self.templates && self.lockstep.is_none();
-        let exit = self.run_inner(vm, id, rf, max_instrs);
-        self.drain_events();
-        self.batch = false;
-        self.tmpl_active = false;
-        exit
+        // The lockstep shadow re-executes at per-instruction boundaries,
+        // which a template deliberately folds away.
+        let templates = self.fast_path
+            && self.templates
+            && !self.trace.enabled
+            && !self.exact_events
+            && self.lockstep.is_none();
+        let mut executed = 0u64;
+        // Whether `rf.pc` is a possible template entry.
+        let mut at_entry = false;
+        // The entry point control last passed through: a trap after it
+        // demotes its template.
+        let mut last_entry = None;
+        while executed < max_instrs {
+            let mut record = None;
+            if at_entry {
+                match self.enter(vm, id, rf, max_instrs - executed, &mut executed) {
+                    // Leaving a template is itself an entry.
+                    Entry::Ran => continue,
+                    Entry::Hit => {}
+                    Entry::Miss(slot) => record = Some(slot),
+                }
+                last_entry = Some(rf.pc);
+            }
+            let pc = rf.pc;
+            match self.step(vm, id, rf, record) {
+                Ok(None) => {
+                    executed += 1;
+                    at_entry = templates && rf.pc != pc.wrapping_add(4);
+                }
+                Ok(Some(exit)) => return exit,
+                Err(trap) => {
+                    // The entry left the pure fast-loop regime (fault
+                    // handling may change mappings or re-enter
+                    // differently), so its template re-earns promotion.
+                    if let Some(entry_pc) = last_entry {
+                        if let Some(e) = &mut self.hot[Self::hot_slot(entry_pc)] {
+                            if e.pc == entry_pc {
+                                e.tmpl = TmplState::default();
+                            }
+                        }
+                    }
+                    return Exit::Trap(trap);
+                }
+            }
+        }
+        Exit::InstrLimit
     }
 
     /// The reference interpreter's run loop: one instruction at a time,
-    /// nothing cached, nothing batched. Fetch is checked against PCC, then
+    /// nothing cached. Fetch is checked against PCC, then
     /// translated by the full VM walk and charged exactly; the instruction
     /// is found by scanning the region map and executed by direct
     /// semantics dispatch ([`cheri_sem::ops::step_instr`]) — the flat op
-    /// table, pre-resolved dispatch indices and superblock clamps are all
+    /// table, pre-resolved dispatch indices, TLB and templates are all
     /// unused here, which is the point: any machinery bug shows up as a
     /// difference against this loop.
     fn run_reference(&mut self, vm: &mut Vm, id: AsId, rf: &mut RegFile, max_instrs: u64) -> Exit {
@@ -725,28 +726,6 @@ impl Cpu {
         }
     }
 
-    fn run_inner(&mut self, vm: &mut Vm, id: AsId, rf: &mut RegFile, max_instrs: u64) -> Exit {
-        let mut executed = 0u64;
-        if self.batch {
-            while executed < max_instrs {
-                if let Some(exit) =
-                    self.run_superblock(vm, id, rf, max_instrs - executed, &mut executed)
-                {
-                    return exit;
-                }
-            }
-            return Exit::InstrLimit;
-        }
-        while executed < max_instrs {
-            match self.step(vm, id, rf) {
-                Ok(None) => executed += 1,
-                Ok(Some(exit)) => return exit,
-                Err(trap) => return Exit::Trap(trap),
-            }
-        }
-        Exit::InstrLimit
-    }
-
     /// Pre-instruction snapshot for the lockstep oracle: taken only while
     /// armed and still divergence-free (the first divergence freezes the
     /// oracle so its diagnostic names the earliest drift).
@@ -801,217 +780,81 @@ impl Cpu {
         self.lockstep = Some(ls);
     }
 
-    /// Executes one superblock prefix: a straight-line run with a single
-    /// PCC bounds/perm check and a single translation, clamped so it can
-    /// never cross a page boundary, exceed the PCC's top, or outrun the
-    /// instruction budget. Returns `Some(exit)` to leave the run loop,
-    /// `None` to continue with the next block.
-    fn run_superblock(
+    /// Looks up the possible template entry at `rf.pc`. While the guard —
+    /// same pc, same translation epoch, same exact PCC — holds, each
+    /// lookup counts toward promotion, and a compiled template runs when
+    /// at least one full pass fits in `budget`.
+    fn enter(
         &mut self,
-        vm: &mut Vm,
+        vm: &Vm,
         id: AsId,
         rf: &mut RegFile,
         budget: u64,
         executed: &mut u64,
-    ) -> Option<Exit> {
+    ) -> Entry {
         let pc = rf.pc;
-        // Re-entry fast path: loops re-enter the same blocks at the same
-        // PCC under the same epoch, so the entry check, translation,
-        // region lookup and clamps from last time are all still valid.
-        // (Epoch monotonicity makes the `pa` reuse exactly as sound as a
-        // TLB hit; the exact-PCC compare re-validates the EXECUTE check
-        // and the top clamp.) The entry is *moved* out of its slot for the
-        // duration of the block — no refcount traffic on a hit — and moved
-        // back at the end. Op handlers never touch the region map or mode
-        // flags, and the guard re-validates on every entry, so restoring
-        // an entry that a mid-block epoch bump invalidated is harmless.
-        let slot = Self::sb_slot(pc);
-        let mut e = match self.sb_entries[slot].take() {
-            Some(mut e) if e.pc == pc && e.epoch == vm.epoch() && e.pcc == rf.pcc => {
-                if self.tmpl_active {
-                    if let TmplState::Cold(hits) = &mut e.tmpl {
-                        *hits += 1;
-                        if *hits >= template::PROMOTE_THRESHOLD {
-                            // The guard just revalidated the exact PCC,
-                            // so the clamp inputs are current.
-                            let pcc_top = rf.pcc.base().saturating_add(rf.pcc.length());
-                            let pcc_rem = ((pcc_top - pc) / 4) as usize;
-                            e.tmpl = match template::compile(
-                                &e.region,
-                                e.idx,
-                                pc,
-                                e.pa,
-                                pcc_rem,
-                                self.caches.l1_line(),
-                            ) {
-                                Some(t) => {
-                                    self.stats.tmpl_compiles += 1;
-                                    TmplState::Hot(Box::new(t))
-                                }
-                                None => TmplState::Rejected,
-                            };
-                        }
-                    }
-                    if let TmplState::Hot(t) = &e.tmpl {
-                        // Below one full pass of budget the template
-                        // cannot stop at the exact instruction the
-                        // superblock tier would, so fall through to it.
-                        if budget >= u64::from(t.n_trace) {
-                            self.stats.tmpl_hits += 1;
-                            self.run_template(t, rf, budget, executed);
-                            self.sb_entries[slot] = Some(e);
-                            return None;
-                        }
-                    }
-                }
-                self.stats.sb_hits += 1;
-                self.mem_access(e.pa, AccessKind::Fetch);
-                e
-            }
-            _ => {
-                if let Err(f) = rf.pcc.check_access(pc, 4, Perms::EXECUTE) {
-                    return Some(Exit::Trap(TrapInfo {
-                        cause: TrapCause::Cap(f),
-                        pc,
-                        vaddr: Some(pc),
-                    }));
-                }
-                let pa0 = match self.translate_cached(vm, id, pc, Access::Exec, pc) {
-                    Ok(pa) => pa,
-                    Err(t) => return Some(Exit::Trap(t)),
-                };
-                // The first instruction's fetch event goes in *before* the
-                // region lookup, so a NoCode trap charges exactly what the
-                // single-step path charges.
-                self.mem_access(pa0, AccessKind::Fetch);
-                let region = if let Some(r) = self.cur_code.as_ref().filter(|r| r.contains(pc)) {
-                    self.stats.sb_hits += 1;
-                    Arc::clone(r)
-                } else {
-                    self.stats.sb_misses += 1;
-                    match self.find_region(id, pc) {
-                        Some(r) => {
-                            self.cur_code = Some(Arc::clone(&r));
-                            r
-                        }
-                        None => {
-                            return Some(Exit::Trap(TrapInfo {
-                                cause: TrapCause::NoCode,
-                                pc,
-                                vaddr: Some(pc),
-                            }))
-                        }
-                    }
-                };
-                let idx = region.index_of(pc);
-                // Clamp the run: past a page boundary the next fetch needs
-                // a fresh translation (and must not pre-fault a page the
-                // block may never reach); past the PCC top the
-                // per-instruction check of the slow path would trap.
-                let run_len = region.block_last(idx) - idx + 1;
-                let page_rem = ((FRAME_SIZE - pc % FRAME_SIZE) / 4) as usize;
-                let pcc_top = rf.pcc.base().saturating_add(rf.pcc.length());
-                let pcc_rem = ((pcc_top - pc) / 4) as usize;
-                // The epoch is recorded *after* the translation, which may
-                // itself have bumped it (COW resolution, swap-in).
-                SbEntry {
-                    pc,
-                    pa: pa0,
-                    idx,
-                    n: run_len.min(page_rem).min(pcc_rem),
-                    pcc: rf.pcc,
-                    epoch: vm.epoch(),
-                    region,
-                    tmpl: TmplState::default(),
-                }
-            }
+        let slot = Self::hot_slot(pc);
+        let e = match &mut self.hot[slot] {
+            Some(e) if e.pc == pc && e.epoch == vm.epoch() && e.pcc == rf.pcc => e,
+            _ => return Entry::Miss(slot),
         };
-        // Past the budget the run loop must return InstrLimit. The max(1)
-        // keeps progress even at degenerate clamps (e.g. an unaligned pc
-        // at the very end of a page).
-        let budget_rem = usize::try_from(budget).unwrap_or(usize::MAX);
-        let n = e.n.min(budget_rem).max(1);
-        let block_epoch = self.seen_epoch;
-        let rstart = e.region.start();
-        let mut cur_pc = pc;
-        let mut pa = e.pa;
-        let mut out = None;
-        for (k, di) in e.region.run(e.idx, n).iter().enumerate() {
-            if k > 0 {
-                self.mem_access(pa, AccessKind::Fetch);
-            }
-            self.stats.instret += 1;
-            self.stats.cycles += u64::from(di.base_cycles);
-            let pre = self.lockstep_pre(rf);
-            let mut cx = StepCtx {
-                rf: &mut *rf,
-                pc: cur_pc,
-                next: cur_pc.wrapping_add(4),
-                rstart,
-            };
-            let res = {
-                let mut ports = CpuPorts {
-                    cpu: self,
-                    vm: &mut *vm,
-                    id,
+        // The state is moved out of its entry while it is used, and moved
+        // back afterwards: compiling and running need `&mut self`.
+        let mut tmpl = std::mem::take(&mut e.tmpl);
+        let pa = e.pa;
+        if let TmplState::Cold(hits) = &mut tmpl {
+            *hits += 1;
+            if *hits >= template::PROMOTE_THRESHOLD {
+                tmpl = match self.compile_at(id, pc, pa, &rf.pcc) {
+                    Some(t) => {
+                        self.stats.tmpl_compiles += 1;
+                        TmplState::Hot(Box::new(t))
+                    }
+                    None => TmplState::Rejected,
                 };
-                ops::OP_TABLE[usize::from(di.op)](&mut ports, &mut cx, di.instr)
-            };
-            if let Some(pre) = &pre {
-                self.lockstep_check(vm, id, pre, &cx, di.instr, &res);
-            }
-            match res {
-                Err(trap) => {
-                    out = Some(Exit::Trap(trap));
-                    break;
-                }
-                Ok(Some(exit)) => {
-                    out = Some(sem_exit(exit));
-                    break;
-                }
-                Ok(None) => {
-                    let next = cx.next;
-                    rf.pc = next;
-                    *executed += 1;
-                    if next != cur_pc.wrapping_add(4) {
-                        // Taken control flow: resume with a fresh block.
-                        break;
-                    }
-                    if di.instr.is_memory() && self.seen_epoch != block_epoch {
-                        // A data access mutated the mapping state (COW
-                        // resolution, swap-in eviction): the block-entry
-                        // translation is stale, so re-enter.
-                        break;
-                    }
-                    cur_pc = next;
-                    pa += 4;
-                }
             }
         }
-        // Demote on any trap: the block left the pure fast-loop regime
-        // (fault handling may change mappings or re-enter differently),
-        // so make the template re-earn its promotion.
-        if matches!(out, Some(Exit::Trap(_))) {
-            e.tmpl = TmplState::default();
+        let mut ran = false;
+        if let TmplState::Hot(t) = &tmpl {
+            // Below one full pass of budget the template cannot stop at
+            // the exact instruction the step loop would, so step instead.
+            if budget >= u64::from(t.n_trace) {
+                self.stats.tmpl_hits += 1;
+                self.run_template(t, rf, budget, executed);
+                ran = true;
+            }
         }
-        self.sb_entries[slot] = Some(e);
-        out
+        // Compiling and running never touch the table, so the entry is
+        // still in its slot.
+        if let Some(e) = &mut self.hot[slot] {
+            e.tmpl = tmpl;
+        }
+        if ran {
+            Entry::Ran
+        } else {
+            Entry::Hit
+        }
     }
 
-    /// Records a line-coalesced fetch run into the pending event ring
-    /// (template executions only run in batched mode). A run of `count`
-    /// same-line fetches replays as one real access plus `count - 1` L1I
-    /// hits — byte-identical stats to `count` individual accesses, see
-    /// [`MemEventRing::record_run`].
-    #[inline]
-    fn record_fetch_run(&mut self, pa: u64, count: u64) {
-        if count == 0 {
-            return;
-        }
-        if self.events.is_full() {
-            self.stats.cycles += self.caches.drain(&mut self.events);
-        }
-        self.events.record_run(pa, AccessKind::Fetch, count);
+    /// Compiles the trace starting at the hot entry (`pc`, `pa`). The
+    /// guard just revalidated the epoch and that `pcc` is the exact PCC
+    /// the entry's fetch check passed under, so the translation and the
+    /// PCC clamp are current.
+    fn compile_at(&self, id: AsId, pc: u64, pa: u64, pcc: &Capability) -> Option<Template> {
+        let region = match &self.cur_code {
+            Some(r) if r.contains(pc) => Arc::clone(r),
+            _ => self.find_region(id, pc)?,
+        };
+        let pcc_top = pcc.base().saturating_add(pcc.length());
+        let pcc_rem = ((pcc_top - pc) / 4) as usize;
+        template::compile(
+            &region,
+            region.index_of(pc),
+            pc,
+            pa,
+            pcc_rem,
+            self.caches.l1_line(),
+        )
     }
 
     /// Executes a compiled trace template: loads the read∪write register
@@ -1019,7 +862,7 @@ impl Cpu {
     /// on a backedge terminator) until a side exit, the terminator's
     /// departure, or budget exhaustion, then flushes the write set and
     /// accounts retired instructions, base cycles and line-coalesced
-    /// fetch events exactly as the superblock tier would have.
+    /// fetch events exactly as the step loop would have.
     ///
     /// The caller guarantees `budget >= n_trace` (so at least one full
     /// pass fits) and that the entry guard (pc/epoch/PCC) holds; pure-int
@@ -1027,7 +870,6 @@ impl Cpu {
     /// for the whole execution and no exit other than a pc redirect can
     /// occur.
     fn run_template(&mut self, t: &Template, rf: &mut RegFile, budget: u64, executed: &mut u64) {
-        debug_assert!(self.batch);
         let n_trace = u64::from(t.n_trace);
         let mut locals = [0u64; template::MAX_LOCALS];
         for &(reg, local) in &t.init {
@@ -1193,18 +1035,20 @@ impl Cpu {
             }
         }
         // Metric settlement, in program order: the completed passes,
-        // then the side-exiting partial pass (if any).
+        // then the side-exiting partial pass (if any). Nothing else
+        // touches the cache model in between, so charging the fetches
+        // after the fact is exact.
         let mut retired = full * n_trace;
         let mut cycles = full * t.cycles_total;
         if full > 0 {
             if let [(pa, count)] = t.fetch_runs[..] {
                 // Single-line trace: every fetch of every pass hits the
-                // same line, so the whole run coalesces into one event.
-                self.record_fetch_run(pa, count * full);
+                // same line, so the whole run coalesces into one access.
+                cycles += self.caches.access_run(pa, AccessKind::Fetch, count * full);
             } else {
                 for _ in 0..full {
                     for &(pa, count) in &t.fetch_runs {
-                        self.record_fetch_run(pa, count);
+                        cycles += self.caches.access_run(pa, AccessKind::Fetch, count);
                     }
                 }
             }
@@ -1215,7 +1059,7 @@ impl Cpu {
             let mut rem = k as u64 + 1;
             for &(pa, count) in &t.fetch_runs {
                 let take = count.min(rem);
-                self.record_fetch_run(pa, take);
+                cycles += self.caches.access_run(pa, AccessKind::Fetch, take);
                 rem -= take;
                 if rem == 0 {
                     break;
@@ -1224,7 +1068,6 @@ impl Cpu {
         }
         self.stats.instret += retired;
         self.stats.cycles += cycles;
-        self.stats.sb_hits += full + u64::from(side.is_some());
         *executed += retired;
         if self.weaken_flush && !self.flush_weakened {
             // --weaken-flush: drop the first execution's write set on
@@ -1238,10 +1081,17 @@ impl Cpu {
         rf.pc = next;
     }
 
-    /// Executes a single instruction.
-    fn step(&mut self, vm: &mut Vm, id: AsId, rf: &mut RegFile) -> StepResult {
+    /// Executes a single instruction. With `record`, its pc is recorded
+    /// as a fresh hot entry in that slot once the fetch succeeds.
+    fn step(
+        &mut self,
+        vm: &mut Vm,
+        id: AsId,
+        rf: &mut RegFile,
+        record: Option<usize>,
+    ) -> StepResult {
         let pc = rf.pc;
-        let (di, rstart) = self.fetch(vm, id, rf)?;
+        let (di, rstart) = self.fetch(vm, id, rf, record)?;
         self.stats.instret += 1;
         self.stats.cycles += u64::from(di.base_cycles);
         let pre = self.lockstep_pre(rf);
@@ -1617,43 +1467,63 @@ mod tests {
 
         // Pin the contract, not the call sites: total cycles must equal
         // the instructions' base cost plus *exactly* the stall cycles an
-        // in-order replay of the access stream through an ExactSink
-        // produces — however the execute loop batched them internally.
+        // in-order replay of the access stream produces.
         let text_pa = vm.translate(id, 0x10000, Access::Exec).unwrap().0;
         let data_pa = vm.translate(id, 0x20000, Access::Read).unwrap().0;
         let mut reference = CacheHierarchy::fpga_default();
-        let mut sink = cheri_mem::ExactSink::new(&mut reference);
-        sink.record(text_pa, AccessKind::Fetch); // li
-        sink.record(text_pa + 4, AccessKind::Fetch); // load
-        sink.record(data_pa, AccessKind::Load);
-        sink.record(text_pa + 8, AccessKind::Fetch); // syscall
-        let stalls = sink.stalls;
+        let stalls = [
+            (text_pa, AccessKind::Fetch),     // li
+            (text_pa + 4, AccessKind::Fetch), // load
+            (data_pa, AccessKind::Load),
+            (text_pa + 8, AccessKind::Fetch), // syscall
+        ]
+        .into_iter()
+        .map(|(pa, kind)| reference.access(pa, kind))
+        .sum::<u64>();
         let base: u64 = code.iter().map(Instr::base_cycles).sum();
         assert_eq!(cpu.stats.cycles, base + stalls);
         assert_eq!(cpu.caches.stats(), reference.stats());
     }
 
+    /// The execution tiers: the reference interpreter, `single` (the fast
+    /// machine with the TLB off), `fast` (the TLB step loop with templates
+    /// held off — `--exec-mode superblock`) and `template` (the default).
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Tier {
+        Reference,
+        Single,
+        Fast,
+        Template,
+    }
+
+    const TIERS: [Tier; 4] = [Tier::Reference, Tier::Single, Tier::Fast, Tier::Template];
+
+    /// A [`machine`] switched to `tier`.
+    fn machine_on(tier: Tier, code: Vec<Instr>, purecap: bool) -> (Cpu, Vm, AsId, RegFile) {
+        let (mut cpu, vm, id, rf) = machine(code, purecap);
+        match tier {
+            Tier::Reference => cpu.set_reference(true),
+            Tier::Single => cpu.set_fast_path(false),
+            Tier::Fast => cpu.set_templates(false),
+            Tier::Template => {}
+        }
+        (cpu, vm, id, rf)
+    }
+
     #[test]
     fn all_execution_modes_agree_on_all_counters() {
-        // Superblock batching, forced-exact single-step, TLB-only, the
-        // no-fast-path baseline, and the reference interpreter must be
+        // Every tier, plus the template tier with exact per-fetch events
+        // forced (which holds templates off), must be
         // guest-indistinguishable.
         let code = store_sync_store_load();
         let mut results = Vec::new();
-        for (fast, superblocks, templates, exact, reference) in [
-            (true, true, true, false, false),
-            (true, true, false, false, false),
-            (true, true, true, true, false),
-            (true, false, false, false, false),
-            (false, false, false, false, false),
-            (true, true, true, false, true),
-        ] {
-            let (mut cpu, mut vm, id, mut rf) = machine(code.clone(), false);
-            cpu.set_fast_path(fast);
-            cpu.set_superblocks(superblocks);
-            cpu.set_templates(templates);
+        for (tier, exact) in TIERS
+            .into_iter()
+            .map(|t| (t, false))
+            .chain([(Tier::Template, true)])
+        {
+            let (mut cpu, mut vm, id, mut rf) = machine_on(tier, code.clone(), false);
             cpu.set_exact_mem_events(exact);
-            cpu.set_reference(reference);
             assert_eq!(cpu.run(&mut vm, id, &mut rf, 10_000), Exit::Syscall);
             assert_eq!(cpu.run(&mut vm, id, &mut rf, 10_000), Exit::Syscall);
             results.push((cpu.stats, cpu.caches.stats(), vm.stats, rf.r(ireg::T2)));
@@ -1668,9 +1538,9 @@ mod tests {
     // ------------------------------------------------------------------
 
     /// The spin inner loop shape (`spec.rs`): count `iters` iterations,
-    /// then fall through to a syscall. The hot trace spans two
-    /// superblocks (li/sub/beqz and addi/j), so it exercises the
-    /// cross-block walk, a mid-trace side exit and the internal backedge.
+    /// then fall through to a syscall. The hot trace (li/sub/beqz/addi/j)
+    /// walks through a not-taken conditional branch, so it exercises a
+    /// mid-trace side exit and the internal backedge.
     fn spin_loop(iters: i64) -> Vec<Instr> {
         vec![
             Instr::Li {
@@ -1707,18 +1577,11 @@ mod tests {
     fn spin_loop_promotes_and_agrees_with_every_tier() {
         let code = spin_loop(400);
         let mut results = Vec::new();
-        for (fast, superblocks, templates) in [
-            (true, true, true),
-            (true, true, false),
-            (false, false, false),
-        ] {
-            let (mut cpu, mut vm, id, mut rf) = machine(code.clone(), false);
-            cpu.set_fast_path(fast);
-            cpu.set_superblocks(superblocks);
-            cpu.set_templates(templates);
+        for tier in TIERS {
+            let (mut cpu, mut vm, id, mut rf) = machine_on(tier, code.clone(), false);
             assert_eq!(cpu.run(&mut vm, id, &mut rf, 100_000), Exit::Syscall);
             assert_eq!(rf.r(ireg::T0), 400);
-            if templates {
+            if tier == Tier::Template {
                 assert!(cpu.stats.tmpl_compiles >= 1, "the hot loop must promote");
                 assert!(cpu.stats.tmpl_hits >= 1, "the compiled template must run");
             } else {
@@ -1733,10 +1596,10 @@ mod tests {
     }
 
     #[test]
-    fn template_budget_exhaustion_matches_superblock_exactly() {
+    fn template_budget_exhaustion_matches_every_tier_exactly() {
         // An endless loop under assorted non-multiple budgets: the
         // template must stop at precisely the same instruction (and the
-        // same pc) the superblock tier would.
+        // same pc) every other tier does.
         let code = vec![
             Instr::AddI {
                 rd: ireg::T0,
@@ -1747,13 +1610,17 @@ mod tests {
         ];
         for budget in [10u64, 201, 1000, 4097] {
             let mut results = Vec::new();
-            for templates in [true, false] {
-                let (mut cpu, mut vm, id, mut rf) = machine(code.clone(), false);
-                cpu.set_templates(templates);
+            for tier in TIERS {
+                let (mut cpu, mut vm, id, mut rf) = machine_on(tier, code.clone(), false);
                 assert_eq!(cpu.run(&mut vm, id, &mut rf, budget), Exit::InstrLimit);
+                if tier == Tier::Template && budget >= 1000 {
+                    assert!(cpu.stats.tmpl_hits >= 1, "budget {budget}: template ran");
+                }
                 results.push((cpu.stats, cpu.caches.stats(), rf.pc, rf.r(ireg::T0)));
             }
-            assert_eq!(results[0], results[1], "budget {budget}");
+            for r in &results[1..] {
+                assert_eq!(*r, results[0], "budget {budget}");
+            }
             assert_eq!(results[0].0.instret, budget);
         }
     }
@@ -1808,11 +1675,10 @@ mod tests {
             Instr::Jr { rs: ireg::RA },
         ];
         let mut results = Vec::new();
-        for templates in [true, false] {
-            let (mut cpu, mut vm, id, mut rf) = machine(code.clone(), false);
-            cpu.set_templates(templates);
+        for tier in [Tier::Template, Tier::Single] {
+            let (mut cpu, mut vm, id, mut rf) = machine_on(tier, code.clone(), false);
             assert_eq!(cpu.run(&mut vm, id, &mut rf, 100_000), Exit::Syscall);
-            if templates {
+            if tier == Tier::Template {
                 assert!(
                     cpu.stats.tmpl_compiles >= 2,
                     "call block and callee both promote, got {}",
@@ -1856,10 +1722,78 @@ mod tests {
     }
 
     #[test]
+    fn nested_loops_promote_both_heads_and_agree_with_single() {
+        // An outer loop around an inner countdown: the inner template
+        // exits (not taken at its conditional backedge) into the outer
+        // body, whose backedge is a taken transfer to the outer head.
+        // Both heads become hot entries and promote, and every counter
+        // matches the single tier.
+        let code = vec![
+            Instr::Li {
+                rd: ireg::T0,
+                imm: 50,
+            },
+            // outer:
+            Instr::Li {
+                rd: ireg::T1,
+                imm: 40,
+            },
+            // inner:
+            Instr::AddI {
+                rd: ireg::T2,
+                rs: ireg::T2,
+                imm: 3,
+            },
+            Instr::AddI {
+                rd: ireg::T1,
+                rs: ireg::T1,
+                imm: -1,
+            },
+            Instr::Bgtz {
+                rs: ireg::T1,
+                target: 2,
+            },
+            // after the inner loop:
+            Instr::AddI {
+                rd: ireg::T3,
+                rs: ireg::T3,
+                imm: 1,
+            },
+            Instr::AddI {
+                rd: ireg::T0,
+                rs: ireg::T0,
+                imm: -1,
+            },
+            Instr::Bgtz {
+                rs: ireg::T0,
+                target: 1,
+            },
+            Instr::Syscall,
+        ];
+        let mut results = Vec::new();
+        for tier in [Tier::Template, Tier::Single] {
+            let (mut cpu, mut vm, id, mut rf) = machine_on(tier, code.clone(), false);
+            assert_eq!(cpu.run(&mut vm, id, &mut rf, 100_000), Exit::Syscall);
+            if tier == Tier::Template {
+                assert!(
+                    cpu.stats.tmpl_compiles >= 2,
+                    "inner and outer heads both promote, got {}",
+                    cpu.stats.tmpl_compiles
+                );
+                assert!(cpu.stats.tmpl_hits >= 2);
+            }
+            results.push((cpu.stats, cpu.caches.stats(), vm.stats, rf.clone()));
+        }
+        assert_eq!(results[0], results[1]);
+        assert_eq!(results[0].3.r(ireg::T2), 50 * 40 * 3);
+        assert_eq!(results[0].3.r(ireg::T3), 50);
+    }
+
+    #[test]
     fn epoch_bumps_demote_compiled_templates() {
         // Every kernel-side mapping mutation — mprotect, swap-out, fork,
         // COW resolution — bumps the VM translation epoch, which fails
-        // the re-entry guard, rebuilds the entry and resets its template
+        // the hot-entry guard, rebuilds the entry and resets its template
         // state to cold. Each phase below must therefore recompile from
         // scratch: the compile counter is the demotion witness.
         let (mut cpu, mut vm, id, mut rf) = machine(store_then_spin(), false);
@@ -1910,8 +1844,9 @@ mod tests {
 
     #[test]
     fn mode_matrix_agrees_on_trap_heavy_probes() {
-        // single ≡ superblock ≡ template on probes that end in traps:
-        // the widen probe (capability fault) and a null-DDC legacy load.
+        // reference ≡ single ≡ fast ≡ template on probes that end in
+        // traps: the widen probe (capability fault) and a null-DDC legacy
+        // load.
         let ddc_probe = vec![
             Instr::Li {
                 rd: ireg::T0,
@@ -1927,15 +1862,8 @@ mod tests {
         ];
         for code in [widen_probe(), ddc_probe] {
             let mut results = Vec::new();
-            for (fast, superblocks, templates) in [
-                (false, false, false),
-                (true, true, false),
-                (true, true, true),
-            ] {
-                let (mut cpu, mut vm, id, mut rf) = machine(code.clone(), true);
-                cpu.set_fast_path(fast);
-                cpu.set_superblocks(superblocks);
-                cpu.set_templates(templates);
+            for tier in TIERS {
+                let (mut cpu, mut vm, id, mut rf) = machine_on(tier, code.clone(), true);
                 let exit = cpu.run(&mut vm, id, &mut rf, 10_000);
                 assert!(matches!(exit, Exit::Trap(_)), "probe must trap: {exit:?}");
                 results.push((exit, cpu.stats, cpu.caches.stats(), vm.stats, rf.pc));
@@ -1950,20 +1878,25 @@ mod tests {
     fn weaken_flush_loses_writes_once_and_is_caught_by_comparison() {
         // The deliberate residency bug: the first template execution
         // drops its exit flush, so the spin counter silently rewinds —
-        // exactly what the cross-tier gates must flag. One-shot, so the
-        // guest still terminates.
+        // exactly what the cross-tier gates must flag against every other
+        // tier. One-shot, so the guest still terminates.
         let code = spin_loop(400);
-        let (mut cpu, mut vm, id, mut rf) = machine(code.clone(), false);
-        assert_eq!(cpu.run(&mut vm, id, &mut rf, 100_000), Exit::Syscall);
-        let clean = (cpu.stats, rf.r(ireg::T0));
+        let mut clean = Vec::new();
+        for tier in TIERS {
+            let (mut cpu, mut vm, id, mut rf) = machine_on(tier, code.clone(), false);
+            assert_eq!(cpu.run(&mut vm, id, &mut rf, 100_000), Exit::Syscall);
+            clean.push((cpu.stats, rf.r(ireg::T0)));
+        }
+        assert!(clean.iter().all(|c| *c == clean[0]), "clean tiers agree");
 
         let (mut cpu, mut vm, id, mut rf) = machine(code, false);
         cpu.set_weaken_flush(true);
         assert!(cpu.weaken_flush());
         assert_eq!(cpu.run(&mut vm, id, &mut rf, 200_000), Exit::Syscall);
+        assert!(cpu.stats.tmpl_hits >= 1, "the weakened template ran");
         assert_ne!(
             (cpu.stats, rf.r(ireg::T0)),
-            clean,
+            clean[0],
             "dropping one flush must be guest-visible"
         );
     }

@@ -3,7 +3,7 @@
 //! The per-instruction handler bodies live in [`cheri_sem::ops`] — this
 //! module only supplies what the pure semantics cannot know about:
 //! [`CpuPorts`] implements the [`MemoryPort`]/[`TrapPort`] surface on top
-//! of the core's TLB, batched cache-event sink and derivation trace, and
+//! of the core's TLB, cache model and derivation trace, and
 //! `with_op_list!` instantiates the flat [`OP_TABLE`] for threaded
 //! dispatch. The table is generated from the semantics crate's own
 //! handler-name list, so it cannot drift out of sync with
@@ -27,9 +27,9 @@ pub(crate) type OpResult = Result<Option<SemExit>, TrapInfo>;
 /// Handler signature shared by every slot of [`OP_TABLE`].
 pub(crate) type OpFn = fn(&mut CpuPorts<'_, '_>, &mut StepCtx<'_>, Instr) -> OpResult;
 
-/// The superblock machine's implementation of the semantics port traits:
-/// translations go through the TLB, cache events through the (possibly
-/// batched) event sink, derivations into the Figure 5 trace.
+/// The fast machine's implementation of the semantics port traits:
+/// translations go through the TLB, cache events straight into the cache
+/// model, derivations into the Figure 5 trace.
 pub(crate) struct CpuPorts<'c, 'v> {
     /// The core (TLB, caches, counters, trace).
     pub cpu: &'c mut Cpu,

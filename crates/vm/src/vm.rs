@@ -292,7 +292,12 @@ impl Vm {
         let Some(space) = self.spaces.remove(&id) else {
             return;
         };
-        for (_, st) in space.pages {
+        // Release in ascending vpn order: the free list is LIFO, so the
+        // order fixes which frames later allocations reuse (and with them
+        // the modelled cache sets). Hash-map order would vary per run.
+        let mut pages: Vec<(u64, PageState)> = space.pages.into_iter().collect();
+        pages.sort_unstable_by_key(|&(vpn, _)| vpn);
+        for (_, st) in pages {
             match st {
                 PageState::Resident { frame, .. } => self.release_frame(frame),
                 PageState::Swapped { slot } => self.swap[slot as usize] = None,

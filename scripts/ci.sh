@@ -67,12 +67,13 @@ cmp scripts/golden/table3_pinned.golden target/table3-pinned.lines || {
 
 echo "==> tier equivalence: pinned suites byte-identical across all three exec modes"
 # The pinned runs above used the default tier (--exec-mode template); the
-# single-step and superblock tiers must reproduce them byte for byte.
+# single-step baseline (TLB off) and the TLB step loop without templates
+# (--exec-mode superblock) must reproduce them byte for byte.
 ./target/release/run_specs --specs scripts/golden/table1_pinned.specs \
-    --jobs 2 --no-cache --no-fast-path --shard 0/1 > target/table1-singlestep.lines
+    --jobs 2 --no-cache --exec-mode single --shard 0/1 > target/table1-singlestep.lines
 cmp target/table1-pinned.lines target/table1-singlestep.lines || {
     echo "FAIL: guest metrics diverge between the template tier and the"
-    echo "      single-step reference interpreter on the table1 pinned suite"
+    echo "      single-step baseline (--exec-mode single) on the table1 pinned suite"
     exit 1
 }
 ./target/release/run_specs --specs scripts/golden/table1_pinned.specs \
@@ -80,14 +81,14 @@ cmp target/table1-pinned.lines target/table1-singlestep.lines || {
     > target/table1-superblock.lines
 cmp target/table1-pinned.lines target/table1-superblock.lines || {
     echo "FAIL: guest metrics diverge between the template tier and the"
-    echo "      superblock machine on the table1 pinned suite"
+    echo "      TLB step loop (--exec-mode superblock) on the table1 pinned suite"
     exit 1
 }
 ./target/release/run_specs --specs scripts/golden/table3_pinned.specs \
-    --jobs 2 --no-cache --no-fast-path --shard 0/1 > target/table3-singlestep.lines
+    --jobs 2 --no-cache --exec-mode single --shard 0/1 > target/table3-singlestep.lines
 cmp target/table3-pinned.lines target/table3-singlestep.lines || {
     echo "FAIL: guest metrics diverge between the template tier and the"
-    echo "      single-step reference interpreter on the table3 pinned suite"
+    echo "      single-step baseline (--exec-mode single) on the table3 pinned suite"
     exit 1
 }
 ./target/release/run_specs --specs scripts/golden/table3_pinned.specs \
@@ -95,7 +96,7 @@ cmp target/table3-pinned.lines target/table3-singlestep.lines || {
     > target/table3-superblock.lines
 cmp target/table3-pinned.lines target/table3-superblock.lines || {
     echo "FAIL: guest metrics diverge between the template tier and the"
-    echo "      superblock machine on the table3 pinned suite"
+    echo "      TLB step loop (--exec-mode superblock) on the table3 pinned suite"
     exit 1
 }
 
@@ -135,14 +136,14 @@ echo "==> fault plane: 8-seed campaign is panic-free with no silent successes"
     echo "FAIL: fault campaign reported host panics or silent successes"
     exit 1
 }
-./target/release/fault_campaign --seeds 8 --jobs 2 --no-fast-path \
+./target/release/fault_campaign --seeds 8 --jobs 2 --exec-mode single \
     --out target/faults-smoke-singlestep.json || {
     echo "FAIL: single-step fault campaign reported host panics or silent successes"
     exit 1
 }
 cmp target/faults-smoke.json target/faults-smoke-singlestep.json || {
-    echo "FAIL: fault-campaign JSON diverges between the superblock machine and"
-    echo "      the single-step reference interpreter (8-seed smoke)"
+    echo "FAIL: fault-campaign JSON diverges between the default tier and"
+    echo "      the single-step baseline (--exec-mode single, 8-seed smoke)"
     exit 1
 }
 if ./target/release/fault_campaign --seeds 2 --jobs 2 --out /dev/null \
@@ -281,10 +282,10 @@ cmp scripts/golden/scenario_pinned.golden target/scenario-pinned.lines || {
     exit 1
 }
 ./target/release/run_specs --specs scripts/golden/scenario_pinned.specs \
-    --jobs 2 --no-cache --no-fast-path --shard 0/1 > target/scenario-singlestep.lines
+    --jobs 2 --no-cache --exec-mode single --shard 0/1 > target/scenario-singlestep.lines
 cmp target/scenario-pinned.lines target/scenario-singlestep.lines || {
-    echo "FAIL: scenario latency percentiles diverge between the superblock"
-    echo "      machine and the single-step reference interpreter"
+    echo "FAIL: scenario latency percentiles diverge between the default tier"
+    echo "      and the single-step baseline (--exec-mode single)"
     exit 1
 }
 ./target/release/table_server --dump-specs > target/scenario-specs.lines
