@@ -147,7 +147,7 @@ fn bench_bodiag_detectors(c: &mut Criterion<GuestCycles>) {
 
 /// Execution-tier ablation: the same spin workload under the template
 /// tier, the TLB step loop with templates held off (`--exec-mode
-/// superblock`) and the single-step baseline with the TLB off. Guest
+/// superblock`) and the reference interpreter (`--exec-mode single`). Guest
 /// cycles per iteration must be *identical* across the three rows — the
 /// equivalence contract, visible right in the bench output — while the
 /// wall-time secondary shows the host-speed gap.
@@ -159,7 +159,7 @@ fn bench_exec_tiers(c: &mut Criterion<GuestCycles>) {
     for (name, mode) in [
         ("template", ExecMode::Template),
         ("fast", ExecMode::Superblock),
-        ("single-step", ExecMode::SingleStep),
+        ("reference", ExecMode::SingleStep),
     ] {
         let spec = RunSpec::new(
             format!("ablation-tier-{name}"),

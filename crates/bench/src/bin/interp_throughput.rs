@@ -1,11 +1,10 @@
-//! Host-side interpreter throughput: guest-MIPS across the four execution
-//! modes — the reference interpreter (the `--oracle` shadow semantics),
-//! the single-step baseline with the TLB off (`--exec-mode single`), the
-//! TLB step loop with templates held off (`--exec-mode superblock`), and
-//! the template tier on top (`--exec-mode template`, the default
-//! everywhere else). The ref row prices the oracle: `ref_overhead` is
-//! template MIPS over reference MIPS, an upper bound on the slowdown of
-//! `--oracle replay`.
+//! Host-side interpreter throughput: guest-MIPS across the three execution
+//! tiers — the reference interpreter (`--exec-mode single`, also the
+//! `--oracle replay` baseline), the TLB step loop with templates held off
+//! (`--exec-mode superblock`), and the template tier on top (`--exec-mode
+//! template`, the default everywhere else). The ref row prices the oracle:
+//! `ref_overhead` is template MIPS over reference MIPS, an upper bound on
+//! the slowdown of `--oracle replay`.
 //!
 //! Unlike every other binary here, this one measures *host* wall time, so
 //! its numbers vary run to run and machine to machine. Guest-visible
@@ -84,12 +83,10 @@ fn parse_args() -> Result<Opts, String> {
 /// An interpreter execution mode, in table order.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
-    /// The reference interpreter: pure per-step semantics, no TLB, no
-    /// decoded regions — the machine the differential oracle shadows with.
+    /// The reference interpreter (`--exec-mode single`): pure per-step
+    /// semantics, no TLB, no resident region — the replay oracle's
+    /// baseline.
     Ref,
-    /// Single-step baseline: the fast machine with the TLB off
-    /// (`--exec-mode single`).
-    Base,
     /// The TLB step loop with templates held off (`--exec-mode
     /// superblock`).
     Fast,
@@ -99,12 +96,11 @@ enum Mode {
 }
 
 impl Mode {
-    const ALL: [Mode; 4] = [Mode::Ref, Mode::Base, Mode::Fast, Mode::Tmpl];
+    const ALL: [Mode; 3] = [Mode::Ref, Mode::Fast, Mode::Tmpl];
 
     fn label(self) -> &'static str {
         match self {
             Mode::Ref => "ref",
-            Mode::Base => "base",
             Mode::Fast => "fast",
             Mode::Tmpl => "tmpl",
         }
@@ -116,8 +112,7 @@ fn run_once(registry: &Registry, spec: &ProgramSpec, mode: Mode, weaken: bool) -
     let program = registry.lower(spec, CodegenOpts::purecap(), 0);
     let mut sys = System::with_config(KernelConfig::default());
     match mode {
-        Mode::Ref => sys.kernel.cpu.set_reference(true),
-        Mode::Base => sys.kernel.cpu.set_fast_path(false),
+        Mode::Ref => sys.kernel.cpu.set_fast_path(false),
         Mode::Fast => sys.kernel.cpu.set_templates(false),
         Mode::Tmpl => sys.kernel.cpu.set_weaken_flush(weaken),
     }
@@ -181,18 +176,17 @@ fn main() {
         ),
     ];
     let mut lines = Vec::new();
-    let mut spin_speedup: Option<f64> = None;
+    let mut spin_ref_overhead: Option<f64> = None;
     let mut spin_tmpl_speedup: Option<f64> = None;
     let mut mismatch = false;
     println!(
-        "{:<28} {:>12} {:>11} {:>11} {:>11} {:>11} {:>8} {:>9}",
+        "{:<28} {:>12} {:>11} {:>11} {:>11} {:>12} {:>9}",
         "program",
         "guest instrs",
         "ref MIPS",
-        "base MIPS",
         "fast MIPS",
         "tmpl MIPS",
-        "speedup",
+        "ref overhead",
         "tmpl gain"
     );
     for (name, spec) in &programs {
@@ -215,25 +209,18 @@ fn main() {
             rows.push((wall, mips(metrics.instructions, wall)));
         }
         let metrics = ref_metrics.expect("at least one mode");
-        let [(_, ref_mips), (_, base_mips), (_, fast_mips), (_, tmpl_mips)] = rows[..] else {
+        let [(_, ref_mips), (_, fast_mips), (_, tmpl_mips)] = rows[..] else {
             unreachable!("one row per mode")
         };
-        let speedup = tmpl_mips / base_mips;
+        let ref_overhead = tmpl_mips / ref_mips;
         let tmpl_speedup = tmpl_mips / fast_mips;
         if name == "spin" {
-            spin_speedup = Some(speedup);
+            spin_ref_overhead = Some(ref_overhead);
             spin_tmpl_speedup = Some(tmpl_speedup);
         }
         println!(
-            "{:<28} {:>12} {:>11.2} {:>11.2} {:>11.2} {:>11.2} {:>7.2}x {:>8.2}x",
-            name,
-            metrics.instructions,
-            ref_mips,
-            base_mips,
-            fast_mips,
-            tmpl_mips,
-            speedup,
-            tmpl_speedup,
+            "{:<28} {:>12} {:>11.2} {:>11.2} {:>11.2} {:>11.2}x {:>8.2}x",
+            name, metrics.instructions, ref_mips, fast_mips, tmpl_mips, ref_overhead, tmpl_speedup,
         );
         let mut line = format!(
             "{{\"program\":\"{}\",\"instructions\":{},\"cycles\":{}",
@@ -250,17 +237,16 @@ fn main() {
             ));
         }
         line.push_str(&format!(
-            ",\"speedup\":{},\"tmpl_speedup\":{},\"ref_overhead\":{}}}",
-            json_f64(speedup),
+            ",\"tmpl_speedup\":{},\"ref_overhead\":{}}}",
             json_f64(tmpl_speedup),
-            json_f64(tmpl_mips / ref_mips)
+            json_f64(ref_overhead)
         ));
         lines.push(line);
     }
     let doc = format!(
-        "{{\"bench\":\"interp_throughput\",\"trials\":{},\"spin_speedup\":{},\"spin_tmpl_speedup\":{},\"results\":[{}]}}\n",
+        "{{\"bench\":\"interp_throughput\",\"trials\":{},\"spin_ref_overhead\":{},\"spin_tmpl_speedup\":{},\"results\":[{}]}}\n",
         opts.trials,
-        spin_speedup.map_or("null".to_string(), json_f64),
+        spin_ref_overhead.map_or("null".to_string(), json_f64),
         spin_tmpl_speedup.map_or("null".to_string(), json_f64),
         lines.join(",")
     );

@@ -218,6 +218,16 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<BenchOpts, S
     if opts.weaken_flush && opts.exec_mode != ExecMode::Template {
         return Err("--weaken-flush requires the template tier (drop --exec-mode)".to_string());
     }
+    // The reference interpreter has no lockstep hook, never weakens, and
+    // replayed against itself would check nothing: these would be no-ops.
+    if opts.exec_mode == ExecMode::SingleStep && (opts.oracle != OracleMode::Off || opts.weaken_sem)
+    {
+        return Err(
+            "--oracle and --weaken-sem cannot combine with --exec-mode single \
+             (the reference interpreter is the oracle's baseline and never weakens)"
+                .to_string(),
+        );
+    }
     if opts.fleet.is_some() {
         // A session flag the fleet cannot honour is an error, not a silent
         // drop: `--fleet` must never change what a command reports.
@@ -272,18 +282,19 @@ pub const USAGE: &str = "options:\n  \
     (pipe into `run_specs --specs -` to replay them)\n  \
     --retries N    re-run panicked / deadline-exceeded cases up to N times\n                 \
     (deterministic backoff; cache keys and entries are unaffected)\n  \
-    --exec-mode T  execution tier for every case: `single` (the fast\n                 \
-    machine with its TLB off), `superblock` (the TLB step loop,\n                 \
-    no templates) or `template` (the full stack, the default).\n                 \
-    Guest metrics are byte-identical by contract; only host\n                 \
-    speed changes\n  \
+    --exec-mode T  execution tier for every case: `single` (the reference\n                 \
+    interpreter; rejects --oracle and --weaken-sem), `superblock`\n                 \
+    (the TLB step loop, no templates) or `template` (the full\n                 \
+    stack, the default). Guest metrics are byte-identical by\n                 \
+    contract; only host speed changes\n  \
     --weaken-flush test-only: drop one compiled template's exit register\n                 \
     flush so the cross-tier gates can prove a residency bug is\n                 \
     detected (template tier only; never cached)\n  \
     --oracle M     differential oracle: `lockstep` shadows every dispatched\n                 \
     instruction against the shared semantics, `replay` runs each\n                 \
-    case twice (fast, then reference) and diffs the results;\n                 \
-    a divergence surfaces as a failed case (default: off)\n  \
+    case twice (its tier, then the reference interpreter) and\n                 \
+    diffs the results; a divergence surfaces as a failed case\n                 \
+    (default: off; not with --exec-mode single)\n  \
     --weaken-sem   test-only: weaken csetbounds in the fast machine so the\n                 \
     oracle self-test can prove divergences are detected\n                 \
     (never cached)\n  \
@@ -767,6 +778,18 @@ mod tests {
         );
         assert!(parse_args(args(&["--oracle"])).is_err());
         assert!(parse_args(args(&["--oracle", "sideways"])).is_err());
+        // On the reference interpreter these would silently do nothing (no
+        // lockstep hook, no weakening, a replay against itself), so they
+        // are rejected in either order; `--oracle off` stays accepted.
+        for flags in [
+            &["--exec-mode", "single", "--oracle", "lockstep"][..],
+            &["--oracle", "replay", "--exec-mode", "single"],
+            &["--exec-mode", "single", "--weaken-sem"],
+            &["--weaken-sem", "--exec-mode", "single"],
+        ] {
+            assert!(parse_args(args(flags)).is_err(), "{flags:?}");
+        }
+        assert!(parse_args(args(&["--exec-mode", "single", "--oracle", "off"])).is_ok());
     }
 
     #[test]
@@ -837,6 +860,18 @@ mod tests {
         let torn_array = dir.join("torn.json");
         std::fs::write(&torn_array, format!("[{line},")).expect("write");
         assert!(read_specs(torn_array.to_str().expect("utf8 path")).is_err());
+
+        // Hostile nesting is rejected, not a stack overflow: a 100k-deep
+        // array list fails outright, a 100k-deep object line is skipped
+        // and counted like any other malformed line.
+        let n = 100_000;
+        let deep_array = dir.join("deep.json");
+        std::fs::write(&deep_array, "[".repeat(n)).expect("write");
+        assert!(read_specs(deep_array.to_str().expect("utf8 path")).is_err());
+        let deep_lines = dir.join("deep.jsonl");
+        std::fs::write(&deep_lines, format!("{}\n{line}\n", "{\"a\":".repeat(n))).expect("write");
+        let survived = read_specs(deep_lines.to_str().expect("utf8 path")).expect("lenient");
+        assert_eq!((survived.specs.len(), survived.rejected), (1, 1));
         std::fs::remove_dir_all(&dir).ok();
     }
 

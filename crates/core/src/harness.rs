@@ -134,14 +134,15 @@ pub struct RunSpec {
 
 /// Which execution tier the guest runs on. All three produce
 /// byte-identical guest-visible results by contract — the tiers trade
-/// host speed only, and the equivalence gates hold them to it. (The
-/// reference interpreter is not a tier: it runs only as the second leg
-/// of [`OracleMode::Replay`].)
+/// host speed only, and the equivalence gates hold them to it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ExecMode {
-    /// The fast machine with its TLB off (label `single`): every fetch,
-    /// load and store takes the full `Vm::translate` walk and region
-    /// scan, one instruction at a time — the equivalence-gate baseline.
+    /// The reference interpreter (label `single`): one instruction at a
+    /// time, every fetch, load and store through the full `Vm::translate`
+    /// walk and region scan, direct semantics dispatch — the
+    /// equivalence-gate baseline and the second leg of
+    /// [`OracleMode::Replay`]. It has no lockstep hook and never weakens,
+    /// so `--oracle lockstep|replay` and `--weaken-sem` do nothing here.
     SingleStep,
     /// The TLB step loop with templates held off (label `superblock`,
     /// kept because spec files, CI gates and the benchmark use it): one
@@ -815,13 +816,14 @@ impl fmt::Display for CaseOutcome {
 }
 
 /// Host-side interpreter counters: how the simulator ran the case, never
-/// what the guest observed. TLB and resident-region hit rates vary with
-/// the execution mode (they collapse to zero under `--exec-mode single`), so they
-/// are excluded from guest-metric equivalence, from the deterministic
-/// shard/golden line format, and from the report cache's identity. The
-/// scheduler counters (wakes/blocks/runq depth/context switches) ride in
-/// the same bucket: they happen to be mode-invariant, but they describe
-/// how the kernel ran the process tree, not what the guest computed.
+/// what the guest observed. TLB and resident-region counters vary with
+/// the execution mode (all four are zero under `--exec-mode single`, the
+/// reference interpreter, which has neither), so they are excluded from
+/// guest-metric equivalence, from the deterministic shard/golden line
+/// format, and from the report cache's identity. The scheduler counters
+/// (wakes/blocks/runq depth/context switches) ride in the same bucket:
+/// they happen to be mode-invariant, but they describe how the kernel
+/// ran the process tree, not what the guest computed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HostCounters {
     /// Translations served from the software TLB.
@@ -1176,7 +1178,7 @@ fn execute_inner(registry: &Registry, spec: &RunSpec) -> CaseReport {
     if spec.oracle == OracleMode::Replay {
         return execute_replay(registry, spec);
     }
-    execute_once(registry, spec, false)
+    execute_once(registry, spec)
 }
 
 /// Runs the spec twice — on its execution tier, then on the reference
@@ -1185,8 +1187,14 @@ fn execute_inner(registry: &Registry, spec: &RunSpec) -> CaseReport {
 /// oracle-free run); a mismatch becomes [`CaseOutcome::Divergence`].
 fn execute_replay(registry: &Registry, spec: &RunSpec) -> CaseReport {
     let start = Instant::now();
-    let fast = execute_once(registry, spec, false);
-    let reference = execute_once(registry, spec, true);
+    let fast = execute_once(registry, spec);
+    let reference = execute_once(
+        registry,
+        &spec
+            .clone()
+            .with_exec_mode(ExecMode::SingleStep)
+            .with_oracle(OracleMode::Off),
+    );
     let mut diffs = Vec::new();
     if fast.outcome != reference.outcome {
         diffs.push(format!(
@@ -1223,9 +1231,7 @@ fn execute_replay(registry: &Registry, spec: &RunSpec) -> CaseReport {
 }
 
 /// Builds and runs one spec in a fresh system on the current thread.
-/// `reference` forces the reference interpreter regardless of
-/// [`RunSpec::exec_mode`] — the replay oracle's second leg.
-fn execute_once(registry: &Registry, spec: &RunSpec, reference: bool) -> CaseReport {
+fn execute_once(registry: &Registry, spec: &RunSpec) -> CaseReport {
     let start = Instant::now();
     let run = catch_unwind(AssertUnwindSafe(|| {
         let program = registry.lower(&spec.program, spec.opts, spec.seed);
@@ -1250,18 +1256,15 @@ fn execute_once(registry: &Registry, spec: &RunSpec, reference: bool) -> CaseRep
                 sys.kernel.cpu.set_templates(false);
             }
             ExecMode::Template => {
+                // An armed fault plan holds templates off itself
+                // (`FaultPlan::arm` forces exact memory events).
                 sys.kernel.cpu.set_fast_path(true);
-                // An armed fault plan mutates memory behind the guest's
-                // back mid-run; templates assume the entry guard stays
-                // valid for a whole trace, so hold them off.
-                sys.kernel.cpu.set_templates(spec.fault.is_none());
+                sys.kernel.cpu.set_templates(true);
             }
         }
         sys.kernel.cpu.set_weaken_sem(spec.weaken_sem);
         sys.kernel.cpu.set_weaken_flush(spec.weaken_flush);
-        if reference {
-            sys.kernel.cpu.set_reference(true);
-        } else if spec.oracle == OracleMode::Lockstep {
+        if spec.oracle == OracleMode::Lockstep {
             // Store verification is off while a fault plan is armed:
             // injected bit-flips corrupt granules behind the architecture's
             // back, which is exactly the non-architectural behaviour the

@@ -193,8 +193,14 @@ impl fmt::Display for Json {
     }
 }
 
-/// Parses a complete JSON document (trailing whitespace allowed, floats and
-/// any trailing garbage rejected).
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so an unbounded input could overflow the stack; every
+/// document this crate writes (specs, reports, cache entries, fleet
+/// checkpoints) nests at most a handful of levels.
+const MAX_DEPTH: usize = 64;
+
+/// Parses a complete JSON document (trailing whitespace allowed, floats,
+/// nesting deeper than 64 levels and any trailing garbage rejected).
 ///
 /// # Errors
 ///
@@ -202,7 +208,7 @@ impl fmt::Display for Json {
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing bytes at offset {pos}"));
@@ -225,8 +231,12 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value nested inside `depth` enclosing arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at offset {pos}"));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
@@ -242,7 +252,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -267,7 +277,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -406,6 +416,24 @@ mod tests {
         assert!(parse("{\"a\":1} extra").is_err());
         assert!(parse("[1,").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn rejects_nesting_past_the_depth_cap() {
+        // Deep enough to overflow the stack without the cap.
+        let n = 100_000;
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            let deep = format!("{}0{}", open.repeat(n), close.repeat(n));
+            let err = parse(&deep).expect_err("100k-deep nesting is rejected");
+            assert!(err.contains("nesting deeper than 64"), "{err}");
+            // Unterminated deep input fails the same way.
+            assert!(parse(&open.repeat(n)).is_err());
+            // Exactly the cap still parses; one more level does not.
+            let at_cap = format!("{}0{}", open.repeat(MAX_DEPTH), close.repeat(MAX_DEPTH));
+            assert!(parse(&at_cap).is_ok());
+            let past = format!("{open}{at_cap}{close}");
+            assert!(parse(&past).is_err());
+        }
     }
 
     #[test]

@@ -213,7 +213,7 @@ impl System {
         clients: u64,
     ) -> Result<ScenarioRun, cheri_rtld::LoadError> {
         // Mid-run `Sys::Cycles` stamps must agree between the template
-        // tier and the single-step baseline, so hold templates off and
+        // tier and the reference interpreter, so hold templates off and
         // charge every fetch as it happens (same requirement as the fault
         // plane).
         self.kernel.cpu.set_exact_mem_events(true);

@@ -1,6 +1,6 @@
 //! Scenario-plane determinism: latency percentiles (and everything else in
 //! the deterministic line format) must be byte-identical across worker
-//! counts, across the default tier vs. the single-step baseline, and
+//! counts, across the default tier vs. the reference interpreter, and
 //! across repeated runs in one process.
 
 use cheri_corpus::suite::{opts_for, registry};
@@ -72,7 +72,7 @@ fn scenario_percentiles_agree_between_execution_modes() {
         assert_eq!(
             fast.to_json_deterministic(0).to_string(),
             slow.to_json_deterministic(0).to_string(),
-            "{}: template tier vs single step",
+            "{}: template tier vs reference interpreter",
             spec.name
         );
         let stats = fast.scenario.expect("stats");

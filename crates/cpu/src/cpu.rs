@@ -174,23 +174,24 @@ pub struct Cpu {
     /// PCC under the same epoch, so the guard is checked per entry and
     /// the template compiled once.
     hot: Vec<Option<HotEntry>>,
-    /// When false, every fetch/load/store takes the full `vm.translate`
-    /// and region-scan path — the `--exec-mode single` baseline.
-    /// Guest-visible state and all guest counters are identical either
-    /// way.
+    /// When false, `run` takes the reference interpreter instead of the
+    /// fast machine: per-step fetch through the full VM walk, direct
+    /// semantics dispatch — no TLB, no resident region, no hot-entry
+    /// table, no templates, no lockstep hook, no weakening. The
+    /// `--exec-mode single` baseline; guest-visible behaviour is
+    /// identical by construction, only speed differs.
     fast_path: bool,
     /// When false, hot entry points are never promoted to trace
     /// templates: the `--exec-mode superblock` ablation point. Only
     /// meaningful with the fast path on.
     templates: bool,
-    /// Test-only residency weakening (`--weaken-flush`): the first
+    /// Test-only residency weakening (`--weaken-flush`): the next
     /// template execution skips its exit write-set flush, silently
-    /// dropping every register the trace computed. One-shot, so the
-    /// guest still terminates; exists solely so the cross-tier
-    /// determinism gates can prove they catch a residency bug.
+    /// dropping every register the trace computed. One-shot — the
+    /// template exit takes it — so the guest still terminates; exists
+    /// solely so the cross-tier determinism gates can prove they catch a
+    /// residency bug.
     weaken_flush: bool,
-    /// Whether the one-shot weakened flush already fired.
-    flush_weakened: bool,
     /// Forces per-instruction execution (templates held off). Armed
     /// fault plans set this so ordering-sensitive triggers observe every
     /// fetch as its own cache event.
@@ -199,12 +200,6 @@ pub struct Cpu {
     /// `csetbounds` (register form) skips its monotonicity check. Exists
     /// solely so the oracle self-test can prove divergences are detected.
     weaken_sem: bool,
-    /// When set, `run` takes the reference interpreter instead of the
-    /// fast machine: per-step fetch through the full VM walk, direct
-    /// semantics dispatch — no TLB, no resident region, no hot-entry
-    /// table, no templates. Guest-visible behaviour is identical by
-    /// construction; only speed differs.
-    reference: bool,
     /// Armed lockstep oracle, if any (see [`crate::oracle`]).
     lockstep: Option<LockstepState>,
 }
@@ -248,27 +243,20 @@ impl Cpu {
             fast_path: true,
             templates: true,
             weaken_flush: false,
-            flush_weakened: false,
             exact_events: false,
             weaken_sem: false,
-            reference: false,
             lockstep: None,
         }
     }
 
-    /// Enables or disables the translation/fetch fast path. Disabling it
-    /// forces every access through the full VM walk and region scan —
-    /// useful only as a performance baseline; guest-visible behaviour is
-    /// identical in both modes.
+    /// Selects the fast machine (on, the default) or the reference
+    /// interpreter (off; see the `fast_path` field) — the deliberately
+    /// simple second consumer of the shared step semantics, used as the
+    /// `--exec-mode single` tier and the `--oracle replay` baseline.
+    /// Guest-visible behaviour is identical in both modes.
     pub fn set_fast_path(&mut self, on: bool) {
         self.fast_path = on;
         self.reset_tlb();
-    }
-
-    /// Whether the translation/fetch fast path is enabled.
-    #[must_use]
-    pub fn fast_path(&self) -> bool {
-        self.fast_path
     }
 
     /// Enables or disables the template tier (promotion of hot entry
@@ -281,14 +269,8 @@ impl Cpu {
         self.reset_hot();
     }
 
-    /// Whether template promotion is enabled.
-    #[must_use]
-    pub fn templates(&self) -> bool {
-        self.templates
-    }
-
-    /// Enables the test-only deliberate residency bug (`--weaken-flush`):
-    /// the first template execution skips its exit write-set flush. The
+    /// Arms the test-only deliberate residency bug (`--weaken-flush`):
+    /// the next template execution skips its exit write-set flush. The
     /// guest's register file silently loses everything the trace
     /// computed, so guest metrics and outcomes diverge from the other
     /// tiers — which the cross-tier determinism gates must catch. The
@@ -296,13 +278,6 @@ impl Cpu {
     /// residency.
     pub fn set_weaken_flush(&mut self, on: bool) {
         self.weaken_flush = on;
-        self.flush_weakened = false;
-    }
-
-    /// Whether the test-only flush weakening is active.
-    #[must_use]
-    pub fn weaken_flush(&self) -> bool {
-        self.weaken_flush
     }
 
     /// Forces per-instruction execution: templates, which charge a whole
@@ -311,12 +286,6 @@ impl Cpu {
     /// own cache event.
     pub fn set_exact_mem_events(&mut self, on: bool) {
         self.exact_events = on;
-    }
-
-    /// Whether per-instruction execution is forced.
-    #[must_use]
-    pub fn exact_mem_events(&self) -> bool {
-        self.exact_events
     }
 
     /// Enables the test-only deliberate semantics bug (`--weaken-sem`):
@@ -332,20 +301,6 @@ impl Cpu {
     #[must_use]
     pub fn weaken_sem(&self) -> bool {
         self.weaken_sem
-    }
-
-    /// Switches the core to the reference interpreter (see the `reference`
-    /// field): the deliberately simple second consumer of the shared step
-    /// semantics, used as the `--oracle replay` baseline.
-    pub fn set_reference(&mut self, on: bool) {
-        self.reference = on;
-        self.reset_tlb();
-    }
-
-    /// Whether the reference interpreter is active.
-    #[must_use]
-    pub fn reference(&self) -> bool {
-        self.reference
     }
 
     /// Arms the lockstep oracle: every `every`-th dispatched instruction —
@@ -471,14 +426,6 @@ impl Cpu {
         access: Access,
         pc: u64,
     ) -> Result<u64, TrapInfo> {
-        if !self.fast_path {
-            let pa = vm.translate(id, vaddr, access).map_err(|e| TrapInfo {
-                cause: TrapCause::Vm(e),
-                pc,
-                vaddr: Some(vaddr),
-            })?;
-            return Ok(pa.0);
-        }
         // Self-invalidate: any mapping mutation since the TLB was filled
         // shows up as an epoch mismatch.
         let epoch = vm.epoch();
@@ -558,7 +505,7 @@ impl Cpu {
         // Straight-line execution stays inside one region: serve it from
         // the resident block without touching the region map.
         let fetched = match &self.cur_code {
-            Some(r) if self.fast_path && r.contains(pc) => {
+            Some(r) if r.contains(pc) => {
                 self.stats.sb_hits += 1;
                 (r.instr_at(r.index_of(pc)), r.start())
             }
@@ -570,9 +517,7 @@ impl Cpu {
                     vaddr: Some(pc),
                 })?;
                 let fetched = (region.instr_at(region.index_of(pc)), region.start());
-                if self.fast_path {
-                    self.cur_code = Some(region);
-                }
+                self.cur_code = Some(region);
                 fetched
             }
         };
@@ -597,27 +542,25 @@ impl Cpu {
     /// Runs until a syscall, break, trap, or `max_instrs` retired
     /// instructions.
     ///
-    /// The fast machine steps one instruction at a time through the TLB
-    /// and the resident code region. With templates active — the fast
-    /// path and templates on, and no observer (derivation tracing, exact
-    /// per-fetch events, the lockstep oracle) needing per-instruction
-    /// boundaries — every pc reached by a taken control transfer or by
+    /// With the fast path off this is the reference interpreter
+    /// ([`Cpu::set_fast_path`]). The fast machine steps one instruction at
+    /// a time through the TLB and the resident code region. With
+    /// templates active — templates on, and no observer (derivation
+    /// tracing, exact per-fetch events, the lockstep oracle) needing
+    /// per-instruction boundaries — every pc reached by a taken control transfer or by
     /// leaving a template is a possible template entry, looked up in the
     /// hot-entry table before it is stepped. Every cache event is charged
     /// as it happens, so each exit observes exact cycle counts and cache
     /// state.
     pub fn run(&mut self, vm: &mut Vm, id: AsId, rf: &mut RegFile, max_instrs: u64) -> Exit {
         self.set_context(id);
-        if self.reference {
+        if !self.fast_path {
             return self.run_reference(vm, id, rf, max_instrs);
         }
         // The lockstep shadow re-executes at per-instruction boundaries,
         // which a template deliberately folds away.
-        let templates = self.fast_path
-            && self.templates
-            && !self.trace.enabled
-            && !self.exact_events
-            && self.lockstep.is_none();
+        let templates =
+            self.templates && !self.trace.enabled && !self.exact_events && self.lockstep.is_none();
         let mut executed = 0u64;
         // Whether `rf.pc` is a possible template entry.
         let mut at_entry = false;
@@ -1069,11 +1012,9 @@ impl Cpu {
         self.stats.instret += retired;
         self.stats.cycles += cycles;
         *executed += retired;
-        if self.weaken_flush && !self.flush_weakened {
-            // --weaken-flush: drop the first execution's write set on
-            // the floor (one-shot so the guest still terminates).
-            self.flush_weakened = true;
-        } else {
+        // --weaken-flush drops this execution's write set on the floor
+        // (one-shot, so the guest still terminates).
+        if !std::mem::take(&mut self.weaken_flush) {
             for &(local, reg) in &t.flush {
                 rf.gpr[usize::from(reg)] = locals[usize::from(local)];
             }
@@ -1485,25 +1426,62 @@ mod tests {
         assert_eq!(cpu.caches.stats(), reference.stats());
     }
 
-    /// The execution tiers: the reference interpreter, `single` (the fast
-    /// machine with the TLB off), `fast` (the TLB step loop with templates
-    /// held off — `--exec-mode superblock`) and `template` (the default).
+    /// A branchy store/load loop: memory traffic on every iteration,
+    /// then one syscall.
+    fn store_load_loop() -> Vec<Instr> {
+        vec![
+            Instr::Li {
+                rd: ireg::T0,
+                imm: 200,
+            },
+            Instr::Li {
+                rd: ireg::T1,
+                imm: 0x20000,
+            },
+            // loop:
+            Instr::Store {
+                rs: ireg::T0,
+                base: ireg::T1,
+                off: 8,
+                w: Width::D,
+            },
+            Instr::Load {
+                rd: ireg::T2,
+                base: ireg::T1,
+                off: 8,
+                w: Width::D,
+                signed: false,
+            },
+            Instr::AddI {
+                rd: ireg::T0,
+                rs: ireg::T0,
+                imm: -1,
+            },
+            Instr::Bgtz {
+                rs: ireg::T0,
+                target: 2,
+            },
+            Instr::Syscall,
+        ]
+    }
+
+    /// The execution tiers: the reference interpreter (`--exec-mode
+    /// single`), `fast` (the TLB step loop with templates held off —
+    /// `--exec-mode superblock`) and `template` (the default).
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     enum Tier {
         Reference,
-        Single,
         Fast,
         Template,
     }
 
-    const TIERS: [Tier; 4] = [Tier::Reference, Tier::Single, Tier::Fast, Tier::Template];
+    const TIERS: [Tier; 3] = [Tier::Reference, Tier::Fast, Tier::Template];
 
     /// A [`machine`] switched to `tier`.
     fn machine_on(tier: Tier, code: Vec<Instr>, purecap: bool) -> (Cpu, Vm, AsId, RegFile) {
         let (mut cpu, vm, id, rf) = machine(code, purecap);
         match tier {
-            Tier::Reference => cpu.set_reference(true),
-            Tier::Single => cpu.set_fast_path(false),
+            Tier::Reference => cpu.set_fast_path(false),
             Tier::Fast => cpu.set_templates(false),
             Tier::Template => {}
         }
@@ -1514,22 +1492,25 @@ mod tests {
     fn all_execution_modes_agree_on_all_counters() {
         // Every tier, plus the template tier with exact per-fetch events
         // forced (which holds templates off), must be
-        // guest-indistinguishable.
-        let code = store_sync_store_load();
-        let mut results = Vec::new();
-        for (tier, exact) in TIERS
-            .into_iter()
-            .map(|t| (t, false))
-            .chain([(Tier::Template, true)])
-        {
-            let (mut cpu, mut vm, id, mut rf) = machine_on(tier, code.clone(), false);
-            cpu.set_exact_mem_events(exact);
-            assert_eq!(cpu.run(&mut vm, id, &mut rf, 10_000), Exit::Syscall);
-            assert_eq!(cpu.run(&mut vm, id, &mut rf, 10_000), Exit::Syscall);
-            results.push((cpu.stats, cpu.caches.stats(), vm.stats, rf.r(ireg::T2)));
-        }
-        for r in &results[1..] {
-            assert_eq!(*r, results[0]);
+        // guest-indistinguishable — on a store/load pair split by
+        // syscalls, and on a branchy store/load loop.
+        for (code, syscalls) in [(store_sync_store_load(), 2), (store_load_loop(), 1)] {
+            let mut results = Vec::new();
+            for (tier, exact) in TIERS
+                .into_iter()
+                .map(|t| (t, false))
+                .chain([(Tier::Template, true)])
+            {
+                let (mut cpu, mut vm, id, mut rf) = machine_on(tier, code.clone(), false);
+                cpu.set_exact_mem_events(exact);
+                for _ in 0..syscalls {
+                    assert_eq!(cpu.run(&mut vm, id, &mut rf, 10_000), Exit::Syscall);
+                }
+                results.push((cpu.stats, cpu.caches.stats(), vm.stats, rf.r(ireg::T2)));
+            }
+            for r in &results[1..] {
+                assert_eq!(*r, results[0]);
+            }
         }
     }
 
@@ -1675,7 +1656,7 @@ mod tests {
             Instr::Jr { rs: ireg::RA },
         ];
         let mut results = Vec::new();
-        for tier in [Tier::Template, Tier::Single] {
+        for tier in [Tier::Template, Tier::Reference] {
             let (mut cpu, mut vm, id, mut rf) = machine_on(tier, code.clone(), false);
             assert_eq!(cpu.run(&mut vm, id, &mut rf, 100_000), Exit::Syscall);
             if tier == Tier::Template {
@@ -1771,7 +1752,7 @@ mod tests {
             Instr::Syscall,
         ];
         let mut results = Vec::new();
-        for tier in [Tier::Template, Tier::Single] {
+        for tier in [Tier::Template, Tier::Reference] {
             let (mut cpu, mut vm, id, mut rf) = machine_on(tier, code.clone(), false);
             assert_eq!(cpu.run(&mut vm, id, &mut rf, 100_000), Exit::Syscall);
             if tier == Tier::Template {
@@ -1844,7 +1825,7 @@ mod tests {
 
     #[test]
     fn mode_matrix_agrees_on_trap_heavy_probes() {
-        // reference ≡ single ≡ fast ≡ template on probes that end in
+        // reference ≡ fast ≡ template on probes that end in
         // traps: the widen probe (capability fault) and a null-DDC legacy
         // load.
         let ddc_probe = vec![
@@ -1891,9 +1872,9 @@ mod tests {
 
         let (mut cpu, mut vm, id, mut rf) = machine(code, false);
         cpu.set_weaken_flush(true);
-        assert!(cpu.weaken_flush());
         assert_eq!(cpu.run(&mut vm, id, &mut rf, 200_000), Exit::Syscall);
         assert!(cpu.stats.tmpl_hits >= 1, "the weakened template ran");
+        assert!(!cpu.weaken_flush, "the template exit took the one-shot");
         assert_ne!(
             (cpu.stats, rf.r(ireg::T0)),
             clean[0],
@@ -2120,56 +2101,5 @@ mod tests {
         assert_eq!(cpu.run(&mut vm, id, &mut rf, 100), Exit::Syscall);
         assert_eq!(rf.r(ireg::T2), 9);
         assert_eq!(vm.stats.cow_copies, 0, "sole owner must not copy");
-    }
-
-    #[test]
-    fn fast_path_and_baseline_agree_on_all_counters() {
-        // A branchy loop plus memory traffic, run twice from identical
-        // machines: once with the fast path, once forced down the full
-        // vm.translate + region-scan path. Every guest-visible counter
-        // must agree.
-        let code = vec![
-            Instr::Li {
-                rd: ireg::T0,
-                imm: 200,
-            },
-            Instr::Li {
-                rd: ireg::T1,
-                imm: 0x20000,
-            },
-            // loop:
-            Instr::Store {
-                rs: ireg::T0,
-                base: ireg::T1,
-                off: 8,
-                w: Width::D,
-            },
-            Instr::Load {
-                rd: ireg::T2,
-                base: ireg::T1,
-                off: 8,
-                w: Width::D,
-                signed: false,
-            },
-            Instr::AddI {
-                rd: ireg::T0,
-                rs: ireg::T0,
-                imm: -1,
-            },
-            Instr::Bgtz {
-                rs: ireg::T0,
-                target: 2,
-            },
-            Instr::Syscall,
-        ];
-        let mut results = Vec::new();
-        for fast in [true, false] {
-            let (mut cpu, mut vm, id, mut rf) = machine(code.clone(), false);
-            cpu.set_fast_path(fast);
-            assert_eq!(cpu.fast_path(), fast);
-            assert_eq!(cpu.run(&mut vm, id, &mut rf, 10_000), Exit::Syscall);
-            results.push((cpu.stats, cpu.caches.stats(), vm.stats, rf.r(ireg::T2)));
-        }
-        assert_eq!(results[0], results[1]);
     }
 }

@@ -67,13 +67,13 @@ cmp scripts/golden/table3_pinned.golden target/table3-pinned.lines || {
 
 echo "==> tier equivalence: pinned suites byte-identical across all three exec modes"
 # The pinned runs above used the default tier (--exec-mode template); the
-# single-step baseline (TLB off) and the TLB step loop without templates
-# (--exec-mode superblock) must reproduce them byte for byte.
+# reference interpreter (--exec-mode single) and the TLB step loop without
+# templates (--exec-mode superblock) must reproduce them byte for byte.
 ./target/release/run_specs --specs scripts/golden/table1_pinned.specs \
     --jobs 2 --no-cache --exec-mode single --shard 0/1 > target/table1-singlestep.lines
 cmp target/table1-pinned.lines target/table1-singlestep.lines || {
     echo "FAIL: guest metrics diverge between the template tier and the"
-    echo "      single-step baseline (--exec-mode single) on the table1 pinned suite"
+    echo "      reference interpreter (--exec-mode single) on the table1 pinned suite"
     exit 1
 }
 ./target/release/run_specs --specs scripts/golden/table1_pinned.specs \
@@ -88,7 +88,7 @@ cmp target/table1-pinned.lines target/table1-superblock.lines || {
     --jobs 2 --no-cache --exec-mode single --shard 0/1 > target/table3-singlestep.lines
 cmp target/table3-pinned.lines target/table3-singlestep.lines || {
     echo "FAIL: guest metrics diverge between the template tier and the"
-    echo "      single-step baseline (--exec-mode single) on the table3 pinned suite"
+    echo "      reference interpreter (--exec-mode single) on the table3 pinned suite"
     exit 1
 }
 ./target/release/run_specs --specs scripts/golden/table3_pinned.specs \
@@ -138,12 +138,13 @@ echo "==> fault plane: 8-seed campaign is panic-free with no silent successes"
 }
 ./target/release/fault_campaign --seeds 8 --jobs 2 --exec-mode single \
     --out target/faults-smoke-singlestep.json || {
-    echo "FAIL: single-step fault campaign reported host panics or silent successes"
+    echo "FAIL: reference-interpreter fault campaign (--exec-mode single) reported"
+    echo "      host panics or silent successes"
     exit 1
 }
 cmp target/faults-smoke.json target/faults-smoke-singlestep.json || {
     echo "FAIL: fault-campaign JSON diverges between the default tier and"
-    echo "      the single-step baseline (--exec-mode single, 8-seed smoke)"
+    echo "      the reference interpreter (--exec-mode single, 8-seed smoke)"
     exit 1
 }
 if ./target/release/fault_campaign --seeds 2 --jobs 2 --out /dev/null \
@@ -285,7 +286,7 @@ cmp scripts/golden/scenario_pinned.golden target/scenario-pinned.lines || {
     --jobs 2 --no-cache --exec-mode single --shard 0/1 > target/scenario-singlestep.lines
 cmp target/scenario-pinned.lines target/scenario-singlestep.lines || {
     echo "FAIL: scenario latency percentiles diverge between the default tier"
-    echo "      and the single-step baseline (--exec-mode single)"
+    echo "      and the reference interpreter (--exec-mode single)"
     exit 1
 }
 ./target/release/table_server --dump-specs > target/scenario-specs.lines
@@ -388,5 +389,21 @@ if printf '{all bad\n' | ./target/release/run_specs --specs - > /dev/null 2>&1; 
     echo "FAIL: an all-malformed spec list must still exit non-zero"
     exit 1
 fi
+
+echo "==> benchmark: perfbench builds against this API, and its fig4-exec smoke is correct"
+# perfbench is its own cargo workspace (target: perfbench/target). Building
+# it here makes a change to the API it drives fail CI, not the benchmark.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+./perfbench/target/release/perfbench --workload fig4-exec --seconds 3 --trace 1 \
+    > target/perfbench-smoke.out || {
+    echo "FAIL: perfbench fig4-exec smoke exited non-zero:"
+    cat target/perfbench-smoke.out
+    exit 1
+}
+grep -q '"correct":true' target/perfbench-smoke.out || {
+    echo "FAIL: perfbench fig4-exec smoke did not report \"correct\":true"
+    cat target/perfbench-smoke.out
+    exit 1
+}
 
 echo "CI: all gates passed"
