@@ -1,7 +1,8 @@
 //! Runs the complete BOdiagsuite (291 cases × 4 variants × 3 configs) and
 //! checks the Table 3 shape.
 
-use bodiagsuite::{all_cases, run_table3, Config};
+use bodiagsuite::{all_cases, registry, run_table3, table3_specs, Config};
+use cheriabi::harness::execute_spec;
 
 #[test]
 fn table3_shape_holds() {
@@ -42,5 +43,24 @@ fn table3_shape_holds() {
     for i in 0..3 {
         assert!(ch[i] >= asan[i], "cheriabi >= asan at {i}");
         assert!(asan[i] >= m[i], "asan >= mips64 at {i}");
+    }
+}
+
+/// Physical memory is demand-allocated, so its configured size must be
+/// invisible to the guest: the same cases under the default 64 MiB and
+/// under the largest addressable memory (2^32 frames) retire the same
+/// instructions, hit the same cache sets and print the same console.
+#[test]
+fn physical_memory_capacity_does_not_change_guest_results() {
+    let registry = registry();
+    let specs = table3_specs(&all_cases());
+    for spec in specs.iter().step_by(499) {
+        let base = execute_spec(&registry, spec);
+        let mut big = spec.clone();
+        big.config.phys_frames = 1 << 32;
+        let huge = execute_spec(&registry, &big);
+        assert_eq!(huge.outcome, base.outcome, "{}", spec.name);
+        assert_eq!(huge.console, base.console, "{}", spec.name);
+        assert_eq!(huge.metrics, base.metrics, "{}", spec.name);
     }
 }

@@ -743,6 +743,25 @@ mod tests {
         assert!(cache.load(&other).is_none(), "identity mismatch is a miss");
     }
 
+    #[test]
+    fn entries_carrying_oversized_config_values_miss() {
+        let tmp = TempDir::new("oversized");
+        let cache = ReportCache::new(&tmp.0, 1).expect("open cache");
+        let registry = Registry::builtin();
+        let spec = exit_spec("case", 5);
+        cache.store(&spec, &execute_spec(&registry, &spec));
+        let path = cache.entry_path(&spec);
+        let text = fs::read_to_string(&path).expect("entry written");
+        for (old, bad) in [
+            ("\"phys_frames\":16384", "\"phys_frames\":1000000000000"),
+            ("\"l2_size\":null", "\"l2_size\":1"),
+        ] {
+            assert!(text.contains(old), "{text}");
+            fs::write(&path, text.replace(old, bad)).expect("tamper");
+            assert!(cache.load(&spec).is_none(), "{bad} must read as a miss");
+        }
+    }
+
     /// A lowerer that counts how many times it actually builds, so the
     /// "cache hit skips execution" contract is observable.
     static BUILDS: AtomicUsize = AtomicUsize::new(0);

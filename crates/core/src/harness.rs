@@ -45,7 +45,7 @@ use cheri_cap::{CapFault, CapFormat};
 use cheri_cpu::TrapCause;
 use cheri_isa::codegen::{Abi, CodegenOpts};
 use cheri_kernel::{AbiMode, AllocEvidence, ExitStatus, KernelConfig, SpawnOpts};
-use cheri_mem::{CacheConfig, CacheHierarchy};
+use cheri_mem::{CacheConfig, CacheHierarchy, PhysMem};
 use cheri_vm::VmError;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -81,7 +81,9 @@ pub struct RunSpec {
     /// Kernel configuration for the fresh kernel this case runs in.
     pub config: KernelConfig,
     /// Optional shared-L2 capacity override in bytes (the cache-sweep
-    /// experiment); L1 geometry and line size stay at the paper's defaults.
+    /// experiment); L1 geometry, line size and associativity stay at the
+    /// paper's defaults. Decoded specs hold a positive multiple of line ×
+    /// ways no larger than [`MAX_L2_SIZE`].
     pub l2_size: Option<u64>,
     /// Collect the capability-derivation trace (Figure 5); the report then
     /// carries the size distribution. Traced runs are never cached.
@@ -436,7 +438,11 @@ impl RunSpec {
                 .map(|n| Duration::from_nanos(u64::try_from(n).unwrap_or(u64::MAX))),
             seed: v.field("seed")?.as_u64()?,
             config: kernel_config_from_json(v.field("config")?)?,
-            l2_size: v.field("l2_size")?.as_opt(Json::as_u64)?,
+            l2_size: v
+                .field("l2_size")?
+                .as_opt(Json::as_u64)?
+                .map(checked_l2_size)
+                .transpose()?,
             trace: v.field("trace")?.as_bool()?,
             // Absent in all pre-fault-plane encodings; `get` keeps them
             // parseable.
@@ -569,14 +575,40 @@ fn kernel_config_to_json(config: KernelConfig) -> Json {
     Json::Obj(fields)
 }
 
+/// Largest shared-L2 override a decoded spec may carry: 16 MiB, sixteen
+/// times the biggest size the cache sweep uses. The model keeps one set
+/// header per 512 bytes, so this bounds what a spec line can make a worker
+/// allocate.
+pub const MAX_L2_SIZE: u64 = 16 << 20;
+
+/// Validates an `l2_size` override: the model needs a whole, non-zero
+/// number of sets (line × ways bytes each).
+fn checked_l2_size(bytes: u64) -> Result<u64, String> {
+    let l2 = CacheConfig::l2_default();
+    let set_bytes = l2.line * l2.ways as u64;
+    if bytes == 0 || !bytes.is_multiple_of(set_bytes) || bytes > MAX_L2_SIZE {
+        return Err(format!(
+            "l2_size {bytes} is not a positive multiple of {set_bytes} up to {MAX_L2_SIZE}"
+        ));
+    }
+    Ok(bytes)
+}
+
 fn kernel_config_from_json(v: &Json) -> Result<KernelConfig, String> {
+    let phys_frames = v.field("phys_frames")?.as_usize()?;
+    if phys_frames as u64 > PhysMem::MAX_FRAMES {
+        return Err(format!(
+            "phys_frames {phys_frames} exceeds the {} frame ids",
+            PhysMem::MAX_FRAMES
+        ));
+    }
     Ok(KernelConfig {
         cap_fmt: match v.field("cap_fmt")?.as_str()? {
             "c128" => CapFormat::C128,
             "c256" => CapFormat::C256,
             other => return Err(format!("unknown cap format `{other}`")),
         },
-        phys_frames: v.field("phys_frames")?.as_usize()?,
+        phys_frames,
         kernel_cap_discipline: v.field("kernel_cap_discipline")?.as_bool()?,
         quantum: v.field("quantum")?.as_u64()?,
         default_instr_budget: v.field("default_instr_budget")?.as_u64()?,
@@ -1241,8 +1273,7 @@ fn execute_once(registry: &Registry, spec: &RunSpec) -> CaseReport {
                 CacheConfig::l1_default(),
                 CacheConfig {
                     size: l2,
-                    line: 64,
-                    ways: 8,
+                    ..CacheConfig::l2_default()
                 },
             );
         }
@@ -1945,6 +1976,37 @@ mod tests {
         let back = RunSpec::from_json(&json::parse(&text).expect("parses")).expect("decodes");
         assert_eq!(back, spec);
         assert_eq!(back.to_json().to_string(), text);
+    }
+
+    #[test]
+    fn oversized_config_values_are_rejected_by_the_decoder() {
+        let text = exit_with_seed_spec("big", 0).to_json().to_string();
+        let decode = |field: &str, value: u64| {
+            let old = if field == "l2_size" {
+                "\"l2_size\":null".to_string()
+            } else {
+                format!("\"phys_frames\":{}", KernelConfig::default().phys_frames)
+            };
+            assert!(text.contains(&old), "{text}");
+            let edited = text.replace(&old, &format!("\"{field}\":{value}"));
+            RunSpec::from_json(&json::parse(&edited).expect("parses"))
+        };
+        // `FrameId` is a u32: 2^32 frames is the most memory can address.
+        for frames in [1_000_000_000_000, (1 << 32) + 1] {
+            let err = decode("phys_frames", frames).expect_err("oversized phys_frames");
+            assert!(err.contains("phys_frames"), "{err}");
+        }
+        let spec = decode("phys_frames", 1 << 32).expect("2^32 frames decode");
+        assert_eq!(spec.config.phys_frames, 1 << 32);
+        // The L2 needs whole sets (64-byte lines × 8 ways) and a bounded size.
+        for l2 in [0, 1, 64, 1000, 100_000_000_000, MAX_L2_SIZE + 512] {
+            let err = decode("l2_size", l2).expect_err("bad l2_size");
+            assert!(err.contains("l2_size"), "{err}");
+        }
+        for l2 in [512, 3 * 512, 1 << 20, MAX_L2_SIZE] {
+            let spec = decode("l2_size", l2).expect("valid l2_size");
+            assert_eq!(spec.l2_size, Some(l2));
+        }
     }
 
     #[test]

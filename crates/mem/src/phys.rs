@@ -163,9 +163,14 @@ impl std::error::Error for BadFrame {}
 /// assert_eq!(pm.load_cap(a).unwrap(), None);
 /// ```
 pub struct PhysMem {
+    /// Frame slots up to the allocation high-water mark; a freed frame's
+    /// slot stays `None` until it is recycled. Frames past the mark have
+    /// never been touched and cost nothing.
     frames: Vec<Option<Frame>>,
+    /// Recycled frames, reused LIFO before any never-used frame.
     free: Vec<FrameId>,
-    allocated: usize,
+    /// Total frames this memory may hand out (the configured size).
+    capacity: usize,
     faults: PhysFaults,
 }
 
@@ -173,21 +178,37 @@ impl fmt::Debug for PhysMem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "PhysMem{{frames={}, allocated={}}}",
+            "PhysMem{{capacity={}, high_water={}, allocated={}}}",
+            self.capacity,
             self.frames.len(),
-            self.allocated
+            self.allocated_frames()
         )
     }
 }
 
 impl PhysMem {
+    /// Largest supported capacity: every frame needs a distinct `u32`
+    /// [`FrameId`].
+    pub const MAX_FRAMES: u64 = 1 << 32;
+
     /// Creates physical memory with capacity for `num_frames` frames.
+    ///
+    /// Frames are demand-allocated: construction costs the same for any
+    /// capacity, and only frames the guest actually touches are built.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_frames` exceeds [`PhysMem::MAX_FRAMES`].
     #[must_use]
     pub fn new(num_frames: usize) -> PhysMem {
+        assert!(
+            num_frames as u64 <= PhysMem::MAX_FRAMES,
+            "{num_frames} frames exceed the u32 frame-id space"
+        );
         PhysMem {
-            frames: (0..num_frames).map(|_| None).collect(),
-            free: (0..num_frames as u32).rev().map(FrameId).collect(),
-            allocated: 0,
+            frames: Vec::new(),
+            free: Vec::new(),
+            capacity: num_frames,
             faults: PhysFaults::default(),
         }
     }
@@ -296,22 +317,34 @@ impl PhysMem {
     /// Number of frames currently allocated.
     #[must_use]
     pub fn allocated_frames(&self) -> usize {
-        self.allocated
+        self.frames.len() - self.free.len()
     }
 
-    /// Number of frames still free.
+    /// Number of frames still free: recycled ones plus those never used.
     #[must_use]
     pub fn free_frames(&self) -> usize {
-        self.free.len()
+        self.free.len() + (self.capacity - self.frames.len())
     }
 
     /// Allocates a zeroed frame, or `None` if physical memory is exhausted
     /// (the kernel's pageout path then kicks in).
+    ///
+    /// Recycled frames are reused most-recently-freed first; only when there
+    /// are none does the next never-used frame id come into use. This is
+    /// exactly the order of a stack preloaded with `[n-1, …, 0]`, so frame
+    /// ids (and the physical addresses the cache model sees) do not depend
+    /// on the capacity.
     pub fn alloc_frame(&mut self) -> Option<FrameId> {
-        let id = self.free.pop()?;
-        self.frames[id.0 as usize] = Some(Frame::new());
-        self.allocated += 1;
-        Some(id)
+        if let Some(id) = self.free.pop() {
+            self.frames[id.0 as usize] = Some(Frame::new());
+            return Some(id);
+        }
+        if self.frames.len() == self.capacity {
+            return None;
+        }
+        let id = u32::try_from(self.frames.len()).expect("`new` bounds capacity to u32 ids");
+        self.frames.push(Some(Frame::new()));
+        Some(FrameId(id))
     }
 
     /// Frees a frame, dropping its contents and tags.
@@ -320,10 +353,10 @@ impl PhysMem {
     ///
     /// Panics if the frame was not allocated (double free).
     pub fn free_frame(&mut self, id: FrameId) {
-        let slot = &mut self.frames[id.0 as usize];
-        assert!(slot.is_some(), "double free of {id:?}");
-        *slot = None;
-        self.allocated -= 1;
+        match self.frames.get_mut(id.0 as usize) {
+            Some(slot @ Some(_)) => *slot = None,
+            _ => panic!("double free of {id:?}"),
+        }
         self.free.push(id);
         self.clear_corrupt_range(id, 0, GRANULES_PER_FRAME - 1);
     }
@@ -660,6 +693,102 @@ mod tests {
             "recycled frame zeroed"
         );
         let _ = b;
+    }
+
+    #[test]
+    fn allocation_order_matches_the_eager_stack() {
+        const CAP: u32 = 6;
+        let mut pm = PhysMem::new(CAP as usize);
+        // The allocator before demand allocation: a stack preloaded with
+        // every frame id, `[n-1, …, 0]`, popped to allocate, pushed to free.
+        let mut model: Vec<FrameId> = (0..CAP).rev().map(FrameId).collect();
+        let mut live: Vec<FrameId> = Vec::new();
+        let check = |pm: &PhysMem, model: &[FrameId]| {
+            assert_eq!(pm.free_frames(), model.len());
+            assert_eq!(pm.free_frames() + pm.allocated_frames(), CAP as usize);
+        };
+        // Each step allocates (`A`) or frees the live frame at that index,
+        // covering reuse after free, exhaustion, and reuse at exhaustion.
+        const A: usize = usize::MAX;
+        let steps = [
+            A, A, A, 1, A, 0, 0, A, A, A, A, A, A, A, 2, A, A, 4, 0, 1, A, A, A,
+        ];
+        let mut exhausted = 0;
+        for step in steps {
+            match step {
+                A => {
+                    let got = pm.alloc_frame();
+                    assert_eq!(got, model.pop());
+                    match got {
+                        Some(id) => {
+                            assert_eq!(pm.read_u64(PAddr::new(id, 0)).unwrap(), 0);
+                            pm.write_u64(PAddr::new(id, 0), u64::from(id.0) + 1)
+                                .unwrap();
+                            live.push(id);
+                        }
+                        None => {
+                            assert_eq!(pm.allocated_frames(), CAP as usize);
+                            exhausted += 1;
+                        }
+                    }
+                }
+                i => {
+                    let id = live.remove(i);
+                    pm.free_frame(id);
+                    model.push(id);
+                }
+            }
+            check(&pm, &model);
+        }
+        assert!(exhausted >= 2, "the sequence must hit exhaustion");
+        // Then a long pseudo-random walk biased towards allocation.
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        for _ in 0..2000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if x % 5 < 3 || live.is_empty() {
+                let got = pm.alloc_frame();
+                assert_eq!(got, model.pop());
+                if let Some(id) = got {
+                    pm.write_u64(PAddr::new(id, 0), u64::from(id.0) + 1)
+                        .unwrap();
+                    live.push(id);
+                }
+            } else {
+                let id = live.swap_remove((x >> 8) as usize % live.len());
+                pm.free_frame(id);
+                model.push(id);
+            }
+            check(&pm, &model);
+        }
+        for id in live {
+            assert_eq!(
+                pm.read_u64(PAddr::new(id, 0)).unwrap(),
+                u64::from(id.0) + 1,
+                "live frames keep their contents"
+            );
+        }
+    }
+
+    #[test]
+    fn construction_does_not_allocate_per_frame() {
+        let mut pm = PhysMem::new(1 << 32);
+        assert_eq!(pm.free_frames(), 1 << 32);
+        let a = pm.alloc_frame().unwrap();
+        let b = pm.alloc_frame().unwrap();
+        assert_eq!((a, b), (FrameId(0), FrameId(1)));
+        pm.free_frame(a);
+        assert_eq!(pm.alloc_frame(), Some(a));
+        assert_eq!(pm.allocated_frames(), 2);
+        assert_eq!(pm.free_frames(), (1 << 32) - 2);
+        assert!(format!("{pm:?}").contains("high_water=2"));
+    }
+
+    #[test]
+    #[should_panic(expected = "u32 frame-id space")]
+    fn capacity_beyond_frame_ids_panics() {
+        let _ = PhysMem::new((1 << 32) + 1);
     }
 
     #[test]

@@ -364,25 +364,31 @@ resumed=$(sed -n 's/.*resumed=\([0-9]*\).*/\1/p' target/fleet-resume.err)
     exit 1
 }
 
-echo "==> fleet: one torn spec line is skipped and counted, not fatal"
+echo "==> fleet: torn and oversized spec lines are skipped and counted, not fatal"
+# Besides a torn line: a phys_frames beyond the u32 frame-id space and an
+# l2_size with no whole cache set, each of which used to abort or panic.
 {
     head -3 scripts/golden/table1_pinned.specs
     echo '{"torn json'
+    head -1 scripts/golden/table1_pinned.specs \
+        | sed 's/"phys_frames":[0-9]*/"phys_frames":1000000000000/'
+    head -1 scripts/golden/table1_pinned.specs \
+        | sed 's/"l2_size":null/"l2_size":1/'
 } > target/fleet-torn.specs
 ./target/release/run_specs --specs target/fleet-torn.specs \
     --jobs 1 --no-cache --shard 0/1 \
     > target/fleet-torn.lines 2> target/fleet-torn.err || {
-    echo "FAIL: run_specs aborted on a single malformed spec line"
+    echo "FAIL: run_specs aborted on a malformed spec line"
     cat target/fleet-torn.err
     exit 1
 }
-grep -q "specs_rejected=1" target/fleet-torn.err || {
-    echo "FAIL: the malformed spec line was not counted in specs_rejected"
+grep -q "specs_rejected=3" target/fleet-torn.err || {
+    echo "FAIL: the 3 malformed spec lines were not counted in specs_rejected"
     cat target/fleet-torn.err
     exit 1
 }
 [ "$(wc -l < target/fleet-torn.lines)" = "3" ] || {
-    echo "FAIL: expected the 3 good specs to run despite the torn line"
+    echo "FAIL: expected the 3 good specs to run despite the malformed lines"
     exit 1
 }
 if printf '{all bad\n' | ./target/release/run_specs --specs - > /dev/null 2>&1; then
