@@ -755,6 +755,11 @@ mod tests {
         for (old, bad) in [
             ("\"phys_frames\":16384", "\"phys_frames\":1000000000000"),
             ("\"l2_size\":null", "\"l2_size\":1"),
+            ("\"quantum\":100000", "\"quantum\":0"),
+            (
+                "\"quantum\":100000",
+                "\"quantum\":100000,\"pipe_capacity\":0",
+            ),
         ] {
             assert!(text.contains(old), "{text}");
             fs::write(&path, text.replace(old, bad)).expect("tamper");

@@ -602,6 +602,19 @@ fn kernel_config_from_json(v: &Json) -> Result<KernelConfig, String> {
             PhysMem::MAX_FRAMES
         ));
     }
+    // A zero quantum retires nothing before `budget-exhausted`, and a zero
+    // pipe capacity deadlocks the first writer: neither is a real setting.
+    let quantum = v.field("quantum")?.as_u64()?;
+    if quantum == 0 {
+        return Err("quantum must be positive".to_string());
+    }
+    let pipe_capacity = match v.get("pipe_capacity") {
+        Some(j) => j.as_usize()?,
+        None => KernelConfig::default().pipe_capacity,
+    };
+    if pipe_capacity == 0 {
+        return Err("pipe_capacity must be positive".to_string());
+    }
     Ok(KernelConfig {
         cap_fmt: match v.field("cap_fmt")?.as_str()? {
             "c128" => CapFormat::C128,
@@ -610,12 +623,9 @@ fn kernel_config_from_json(v: &Json) -> Result<KernelConfig, String> {
         },
         phys_frames,
         kernel_cap_discipline: v.field("kernel_cap_discipline")?.as_bool()?,
-        quantum: v.field("quantum")?.as_u64()?,
+        quantum,
         default_instr_budget: v.field("default_instr_budget")?.as_u64()?,
-        pipe_capacity: match v.get("pipe_capacity") {
-            Some(j) => j.as_usize()?,
-            None => KernelConfig::default().pipe_capacity,
-        },
+        pipe_capacity,
     })
 }
 
@@ -1982,14 +1992,20 @@ mod tests {
     fn oversized_config_values_are_rejected_by_the_decoder() {
         let text = exit_with_seed_spec("big", 0).to_json().to_string();
         let decode = |field: &str, value: u64| {
-            let old = if field == "l2_size" {
-                "\"l2_size\":null".to_string()
-            } else {
-                format!("\"phys_frames\":{}", KernelConfig::default().phys_frames)
+            let old = match field {
+                "l2_size" => "\"l2_size\":null".to_string(),
+                "quantum" => format!("\"quantum\":{}", KernelConfig::default().quantum),
+                // Absent at its default; spliced in after `quantum`.
+                "pipe_capacity" => format!("\"quantum\":{}", KernelConfig::default().quantum),
+                _ => format!("\"phys_frames\":{}", KernelConfig::default().phys_frames),
             };
             assert!(text.contains(&old), "{text}");
-            let edited = text.replace(&old, &format!("\"{field}\":{value}"));
-            RunSpec::from_json(&json::parse(&edited).expect("parses"))
+            let new = if field == "pipe_capacity" {
+                format!("{old},\"pipe_capacity\":{value}")
+            } else {
+                format!("\"{field}\":{value}")
+            };
+            RunSpec::from_json(&json::parse(&text.replace(&old, &new)).expect("parses"))
         };
         // `FrameId` is a u32: 2^32 frames is the most memory can address.
         for frames in [1_000_000_000_000, (1 << 32) + 1] {
@@ -2006,6 +2022,12 @@ mod tests {
         for l2 in [512, 3 * 512, 1 << 20, MAX_L2_SIZE] {
             let spec = decode("l2_size", l2).expect("valid l2_size");
             assert_eq!(spec.l2_size, Some(l2));
+        }
+        // A zero quantum or pipe capacity cannot run a guest.
+        for field in ["quantum", "pipe_capacity"] {
+            let err = decode(field, 0).expect_err("zero setting");
+            assert!(err.contains(field), "{err}");
+            decode(field, 1).expect("a setting of 1 decodes");
         }
     }
 

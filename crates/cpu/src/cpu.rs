@@ -1,8 +1,8 @@
 //! The fetch/decode/execute core.
 
-use crate::ops::{self, CpuPorts, RefPorts};
+use crate::ops::{CpuPorts, RefPorts};
 use crate::oracle::{self, Divergence, LockstepState};
-use crate::region::{DecodedInstr, DecodedRegion};
+use crate::region::DecodedRegion;
 use crate::template::{self, TOp, TTerm, Template, TmplState};
 use crate::{DerivationTrace, RegFile};
 use cheri_cap::{CapFault, Capability, Perms};
@@ -482,7 +482,7 @@ impl Cpu {
     }
 
     /// Fetches the instruction at `rf.pc`: PCC check, translation, the
-    /// fetch's cache event, then the decoded instruction and its region's
+    /// fetch's cache event, then the instruction and its region's
     /// start. With `record`, a successful fetch also records `rf.pc` as a
     /// fresh hot entry in that slot.
     fn fetch(
@@ -491,7 +491,7 @@ impl Cpu {
         id: AsId,
         rf: &RegFile,
         record: Option<usize>,
-    ) -> Result<(DecodedInstr, u64), TrapInfo> {
+    ) -> Result<(Instr, u64), TrapInfo> {
         let pc = rf.pc;
         rf.pcc
             .check_access(pc, 4, Perms::EXECUTE)
@@ -606,11 +606,11 @@ impl Cpu {
     /// The reference interpreter's run loop: one instruction at a time,
     /// nothing cached. Fetch is checked against PCC, then
     /// translated by the full VM walk and charged exactly; the instruction
-    /// is found by scanning the region map and executed by direct
-    /// semantics dispatch ([`cheri_sem::ops::step_instr`]) — the flat op
-    /// table, pre-resolved dispatch indices, TLB and templates are all
-    /// unused here, which is the point: any machinery bug shows up as a
-    /// difference against this loop.
+    /// is found by scanning the region map and executed by the same
+    /// dispatcher as the fast machine ([`cheri_sem::ops::step_instr`]) —
+    /// the TLB, the resident region and templates are all unused here,
+    /// which is the point: any machinery bug shows up as a difference
+    /// against this loop.
     fn run_reference(&mut self, vm: &mut Vm, id: AsId, rf: &mut RegFile, max_instrs: u64) -> Exit {
         let mut executed = 0u64;
         while executed < max_instrs {
@@ -644,10 +644,10 @@ impl Cpu {
             pc,
             vaddr: Some(pc),
         })?;
-        let di = region.instr_at(region.index_of(pc));
+        let instr = region.instr_at(region.index_of(pc));
         let rstart = region.start();
         self.stats.instret += 1;
-        self.stats.cycles += u64::from(di.base_cycles);
+        self.stats.cycles += instr.base_cycles();
         let mut cx = StepCtx {
             rf: &mut *rf,
             pc,
@@ -659,7 +659,7 @@ impl Cpu {
             vm: &mut *vm,
             id,
         };
-        match cheri_sem::ops::step_instr(&mut ports, &mut cx, di.instr)? {
+        match cheri_sem::ops::step_instr(&mut ports, &mut cx, instr)? {
             Some(exit) => Ok(Some(sem_exit(exit))),
             None => {
                 let next = cx.next;
@@ -1032,9 +1032,9 @@ impl Cpu {
         record: Option<usize>,
     ) -> StepResult {
         let pc = rf.pc;
-        let (di, rstart) = self.fetch(vm, id, rf, record)?;
+        let (instr, rstart) = self.fetch(vm, id, rf, record)?;
         self.stats.instret += 1;
-        self.stats.cycles += u64::from(di.base_cycles);
+        self.stats.cycles += instr.base_cycles();
         let pre = self.lockstep_pre(rf);
         let mut cx = StepCtx {
             rf: &mut *rf,
@@ -1048,10 +1048,10 @@ impl Cpu {
                 vm: &mut *vm,
                 id,
             };
-            ops::OP_TABLE[usize::from(di.op)](&mut ports, &mut cx, di.instr)
+            cheri_sem::ops::step_instr(&mut ports, &mut cx, instr)
         };
         if let Some(pre) = &pre {
-            self.lockstep_check(vm, id, pre, &cx, di.instr, &res);
+            self.lockstep_check(vm, id, pre, &cx, instr, &res);
         }
         match res? {
             Some(exit) => Ok(Some(sem_exit(exit))),

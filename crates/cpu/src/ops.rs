@@ -1,31 +1,17 @@
-//! The CPU-side port of the shared step semantics, plus the flat op table.
+//! The CPU-side ports of the shared step semantics.
 //!
-//! The per-instruction handler bodies live in [`cheri_sem::ops`] — this
-//! module only supplies what the pure semantics cannot know about:
-//! [`CpuPorts`] implements the [`MemoryPort`]/[`TrapPort`] surface on top
-//! of the core's TLB, cache model and derivation trace, and
-//! `with_op_list!` instantiates the flat [`OP_TABLE`] for threaded
-//! dispatch. The table is generated from the semantics crate's own
-//! handler-name list, so it cannot drift out of sync with
-//! [`dispatch_index`]: a handler's position in [`OP_TABLE`] is, by
-//! construction, the index `dispatch_index` assigns to its pattern.
+//! The per-instruction handler bodies, and their one dispatcher
+//! [`cheri_sem::ops::step_instr`], live in `cheri-sem` — this module only
+//! supplies what the pure semantics cannot know about: [`CpuPorts`]
+//! implements the [`MemoryPort`]/[`TrapPort`] surface on top of the core's
+//! TLB, cache model and derivation trace, and [`RefPorts`] the reference
+//! interpreter's direct VM walks.
 
 use crate::cpu::{Cpu, TrapCause, TrapInfo};
 use cheri_cap::{CapFault, Capability};
-use cheri_isa::Instr;
 use cheri_mem::AccessKind;
-use cheri_sem::{MemoryPort, SemExit, StepCtx, TrapPort};
+use cheri_sem::{MemoryPort, TrapPort};
 use cheri_vm::{Access, AsId, Vm};
-
-pub(crate) use cheri_sem::ops::dispatch_index;
-
-/// What one instruction produces: `Ok(None)` to continue, `Ok(Some(exit))`
-/// to leave the run loop, `Err(trap)` on a fault (with `rf.pc` still at
-/// the faulting instruction).
-pub(crate) type OpResult = Result<Option<SemExit>, TrapInfo>;
-
-/// Handler signature shared by every slot of [`OP_TABLE`].
-pub(crate) type OpFn = fn(&mut CpuPorts<'_, '_>, &mut StepCtx<'_>, Instr) -> OpResult;
 
 /// The fast machine's implementation of the semantics port traits:
 /// translations go through the TLB, cache events straight into the cache
@@ -229,38 +215,5 @@ impl MemoryPort for RefPorts<'_, '_> {
                 pc,
                 vaddr: Some(vaddr),
             })
-    }
-}
-
-macro_rules! define_table {
-    ($($name:ident),+ $(,)?) => {
-        /// Monomorphised handler entry points: one `fn` item per semantics
-        /// handler, instantiated at `CpuPorts`, so the table below is a
-        /// flat array of plain function pointers.
-        mod wrappers {
-            use super::*;
-            $(
-                pub(crate) fn $name(
-                    p: &mut CpuPorts<'_, '_>,
-                    cx: &mut StepCtx<'_>,
-                    instr: Instr,
-                ) -> OpResult {
-                    cheri_sem::ops::$name(p, cx, instr)
-                }
-            )+
-        }
-
-        /// The flat dispatch table, indexed by [`dispatch_index`].
-        pub(crate) static OP_TABLE: &[OpFn] = &[$(wrappers::$name),+];
-    };
-}
-
-cheri_sem::with_op_list!(define_table);
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn table_covers_every_handler() {
-        assert_eq!(super::OP_TABLE.len(), cheri_sem::ops::OP_NAMES.len());
     }
 }

@@ -2,15 +2,15 @@
 //! instruction.
 //!
 //! After the fast machine executes an instruction, the shadow re-executes
-//! the *same* semantics handler (from [`cheri_sem::ops`]) against the
-//! pre-instruction register file, with memory observed read-only through
-//! the VM's peek interface — no faults taken, no statistics touched, no
-//! cache events emitted. Any difference between the shadow's outcome and
+//! it through the *same* dispatcher ([`cheri_sem::ops::step_instr`])
+//! against the pre-instruction register file, with memory observed
+//! read-only through the VM's peek interface — no faults taken, no
+//! statistics touched, no cache events emitted. Any difference between the shadow's outcome and
 //! the fast machine's (exit kind, successor pc, full register file, or
 //! what a store actually left in memory) is recorded as a [`Divergence`].
 //!
 //! Because both sides run the same handler bodies, a clean run proves the
-//! fast machinery (TLB, decode-once regions, threaded dispatch) is
+//! fast machinery (TLB, decode-once regions, the resident region) is
 //! observationally equivalent to plain semantics — and the
 //! `--weaken-sem` self-test proves the comparison actually has teeth.
 

@@ -3,51 +3,29 @@
 //! A [`DecodedRegion`] is built exactly once per registration and then
 //! shared immutably (`Arc`) between the per-space region map and the
 //! core's resident region — registration, fork and fetch all stop copying
-//! instruction vectors. Each instruction carries its pre-resolved dispatch
-//! index into the flat op table (threaded dispatch) and its base cycle
-//! cost; the template compiler walks the same decoded form.
+//! instruction vectors. The step loop and the template compiler both
+//! index the same instruction vector by pc.
 
-use crate::ops;
 use cheri_isa::Instr;
 use std::sync::Arc;
-
-/// One pre-decoded instruction: the instruction itself plus everything the
-/// hot loop would otherwise recompute per execution.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct DecodedInstr {
-    /// The architectural instruction.
-    pub instr: Instr,
-    /// Pre-resolved index into [`ops::OP_TABLE`].
-    pub op: u8,
-    /// Pre-resolved [`Instr::base_cycles`] (fits in a byte for every op).
-    pub base_cycles: u8,
-}
 
 /// An immutable, decode-once code region.
 #[derive(Debug)]
 pub struct DecodedRegion {
     start: u64,
     end: u64,
-    code: Vec<DecodedInstr>,
+    code: Vec<Instr>,
 }
 
 impl DecodedRegion {
     /// Decodes `code` (to be mapped at virtual address `start`) into a
-    /// shareable region: dispatch indices resolved, base cycles cached.
+    /// shareable region.
     #[must_use]
     pub fn decode(start: u64, code: &[Instr]) -> Arc<DecodedRegion> {
-        let decoded = code
-            .iter()
-            .map(|&instr| DecodedInstr {
-                instr,
-                op: ops::dispatch_index(&instr),
-                base_cycles: u8::try_from(instr.base_cycles()).expect("base cycles fit in u8"),
-            })
-            .collect();
         Arc::new(DecodedRegion {
             start,
             end: start + code.len() as u64 * 4,
-            code: decoded,
+            code: code.to_vec(),
         })
     }
 
@@ -87,9 +65,9 @@ impl DecodedRegion {
         ((pc - self.start) / 4) as usize
     }
 
-    /// The decoded instruction at `idx`.
+    /// The instruction at `idx`.
     #[inline]
-    pub(crate) fn instr_at(&self, idx: usize) -> DecodedInstr {
+    pub(crate) fn instr_at(&self, idx: usize) -> Instr {
         self.code[idx]
     }
 }
@@ -126,23 +104,7 @@ mod tests {
         assert!(r.contains(0x10000) && r.contains(0x1000c));
         assert!(!r.contains(0xfffc) && !r.contains(0x10010));
         assert_eq!(r.index_of(0x10008), 2);
-        assert_eq!(r.instr_at(r.index_of(0x1000c)).instr, Instr::Syscall);
+        assert_eq!(r.instr_at(r.index_of(0x1000c)), Instr::Syscall);
         assert!(DecodedRegion::decode(0, &[]).is_empty());
-    }
-
-    #[test]
-    fn decoded_instrs_carry_dispatch_and_cycles() {
-        let code = vec![
-            Instr::Nop,
-            Instr::Mul {
-                rd: ireg::T0,
-                rs: ireg::T1,
-                rt: ireg::T2,
-            },
-        ];
-        let r = DecodedRegion::decode(0, &code);
-        assert_eq!(r.instr_at(0).instr, Instr::Nop);
-        assert_eq!(u64::from(r.instr_at(1).base_cycles), code[1].base_cycles());
-        assert_ne!(r.instr_at(0).op, r.instr_at(1).op);
     }
 }

@@ -349,7 +349,7 @@ pub(crate) fn compile(
     let mut trace: Vec<Instr> = Vec::new();
     let mut end = End::Fall;
     while trace.len() < cap {
-        let instr = region.instr_at(idx + trace.len()).instr;
+        let instr = region.instr_at(idx + trace.len());
         if !reg_effects(&instr).is_pure_int() {
             break;
         }
@@ -444,8 +444,8 @@ pub(crate) fn compile(
     // Metrics: base-cycle prefix sums and line-coalesced fetch runs.
     let mut cum_cycles = Vec::with_capacity(n);
     let mut total = 0u32;
-    for k in 0..n {
-        total += u32::from(region.instr_at(idx + k).base_cycles);
+    for instr in &trace {
+        total += instr.base_cycles() as u32;
         cum_cycles.push(total);
     }
     let mut fetch_runs: Vec<(u64, u64)> = Vec::new();

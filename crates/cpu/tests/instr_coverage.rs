@@ -1,5 +1,7 @@
 //! Instruction-level coverage for the capability inspection/manipulation
-//! instructions not exercised by the main interpreter tests.
+//! instructions not exercised by the main interpreter tests. Each program
+//! runs on both consumers of the shared dispatcher — the fast machine and
+//! the reference interpreter — which must agree exactly.
 
 use cheri_cap::{CapFault, CapFormat, CapSource, Capability, Perms, PrincipalId};
 use cheri_cpu::{Cpu, Exit, RegFile, TrapCause};
@@ -43,10 +45,23 @@ fn machine(code: Vec<Instr>) -> (Cpu, Vm, AsId, RegFile) {
     (cpu, vm, id, rf)
 }
 
+/// Runs `code` on the fast machine, then on the reference interpreter
+/// (`set_fast_path(false)`), and asserts both end with the same exit,
+/// register file, retirement counters and cache statistics.
 fn run(code: Vec<Instr>) -> (Exit, RegFile) {
-    let (mut cpu, mut vm, id, mut rf) = machine(code);
-    let exit = cpu.run(&mut vm, id, &mut rf, 1000);
-    (exit, rf)
+    let on_tier = |fast: bool| {
+        let (mut cpu, mut vm, id, mut rf) = machine(code.clone());
+        cpu.set_fast_path(fast);
+        let exit = cpu.run(&mut vm, id, &mut rf, 1000);
+        (exit, rf, cpu.stats, cpu.caches.stats())
+    };
+    let fast = on_tier(true);
+    let reference = on_tier(false);
+    assert_eq!(
+        fast, reference,
+        "fast machine and reference interpreter disagree"
+    );
+    (fast.0, fast.1)
 }
 
 #[test]

@@ -3,16 +3,18 @@
 //! The per-instruction semantics of the simulated CHERI-MIPS core, as a
 //! *pure* layer: every handler in [`ops`] is generic over a minimal
 //! [`MemoryPort`]/[`TrapPort`] surface and depends only on the capability
-//! algebra (`cheri-cap`) and the instruction set (`cheri-isa`). Two
-//! machines consume it:
+//! algebra (`cheri-cap`) and the instruction set (`cheri-isa`). The
+//! handlers are private; [`ops::step_instr`] is the one dispatcher, and
+//! three consumers in `cheri-cpu` step every instruction through it:
 //!
-//! * the fast machine in `cheri-cpu`, which plugs in its TLB and
-//!   decode-once regions behind the port traits; and
-//! * the deliberately simple reference interpreter (also in `cheri-cpu`),
-//!   which plugs in direct VM walks — no TLB, no resident region, no
-//!   templates.
+//! * the fast machine, which plugs in its TLB and decode-once regions
+//!   behind the port traits;
+//! * the deliberately simple reference interpreter, which plugs in direct
+//!   VM walks — no TLB, no resident region, no templates; and
+//! * the lockstep shadow, which re-executes each of the fast machine's
+//!   instructions against read-only memory.
 //!
-//! Because both machines execute the *same* handler bodies, any observable
+//! Because all of them execute the *same* handler bodies, any observable
 //! difference between them is a bug in the machinery around the semantics,
 //! not in the semantics themselves — exactly the property the `--oracle`
 //! harness mode checks (see DESIGN.md, "The oracle plane").

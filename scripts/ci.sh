@@ -366,7 +366,9 @@ resumed=$(sed -n 's/.*resumed=\([0-9]*\).*/\1/p' target/fleet-resume.err)
 
 echo "==> fleet: torn and oversized spec lines are skipped and counted, not fatal"
 # Besides a torn line: a phys_frames beyond the u32 frame-id space and an
-# l2_size with no whole cache set, each of which used to abort or panic.
+# l2_size with no whole cache set, each of which used to abort or panic; a
+# zero scheduler quantum (0 instructions, then budget-exhausted) and a zero
+# pipe capacity (a guaranteed deadlock), which used to run as real cases.
 {
     head -3 scripts/golden/table1_pinned.specs
     echo '{"torn json'
@@ -374,6 +376,10 @@ echo "==> fleet: torn and oversized spec lines are skipped and counted, not fata
         | sed 's/"phys_frames":[0-9]*/"phys_frames":1000000000000/'
     head -1 scripts/golden/table1_pinned.specs \
         | sed 's/"l2_size":null/"l2_size":1/'
+    head -1 scripts/golden/table1_pinned.specs \
+        | sed 's/"quantum":[0-9]*/"quantum":0/'
+    head -1 scripts/golden/scenario_pinned.specs \
+        | sed 's/"pipe_capacity":[0-9]*/"pipe_capacity":0/'
 } > target/fleet-torn.specs
 ./target/release/run_specs --specs target/fleet-torn.specs \
     --jobs 1 --no-cache --shard 0/1 \
@@ -382,8 +388,8 @@ echo "==> fleet: torn and oversized spec lines are skipped and counted, not fata
     cat target/fleet-torn.err
     exit 1
 }
-grep -q "specs_rejected=3" target/fleet-torn.err || {
-    echo "FAIL: the 3 malformed spec lines were not counted in specs_rejected"
+grep -q "specs_rejected=5" target/fleet-torn.err || {
+    echo "FAIL: the 5 malformed spec lines were not counted in specs_rejected"
     cat target/fleet-torn.err
     exit 1
 }
@@ -396,7 +402,7 @@ if printf '{all bad\n' | ./target/release/run_specs --specs - > /dev/null 2>&1; 
     exit 1
 fi
 
-echo "==> benchmark: perfbench builds against this API, and its fig4-exec smoke is correct"
+echo "==> benchmark: perfbench builds against this API, and its fig4-exec and bodiag-setup smokes are correct"
 # perfbench is its own cargo workspace (target: perfbench/target). Building
 # it here makes a change to the API it drives fail CI, not the benchmark.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
@@ -409,6 +415,19 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 grep -q '"correct":true' target/perfbench-smoke.out || {
     echo "FAIL: perfbench fig4-exec smoke did not report \"correct\":true"
     cat target/perfbench-smoke.out
+    exit 1
+}
+# Table 3's short cold cases load the step loop's dispatch far more than
+# templates do.
+./perfbench/target/release/perfbench --workload bodiag-setup --seconds 3 --trace 1 \
+    > target/perfbench-bodiag.out || {
+    echo "FAIL: perfbench bodiag-setup smoke exited non-zero:"
+    cat target/perfbench-bodiag.out
+    exit 1
+}
+grep -q '"correct":true' target/perfbench-bodiag.out || {
+    echo "FAIL: perfbench bodiag-setup smoke did not report \"correct\":true"
+    cat target/perfbench-bodiag.out
     exit 1
 }
 
